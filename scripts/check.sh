@@ -153,7 +153,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
   git ls-files 'src/*.cc' 'tools/*.cc' 'bench/*.cc' |
     xargs -P "${JOBS}" -n 8 clang-tidy -p "${RELEASE_DIR}" --quiet
 else
-  echo "    clang-tidy not found on PATH; skipping (rp_lint still ran)."
+  echo "    clang-tidy not found on PATH; skipping (rp_analyze still ran)."
 fi
 
 echo "==> check.sh: all green"

@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -39,6 +41,13 @@ void SleepForSeconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
+void AppendHex64(std::string* out, uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char hex[16];
+  for (int i = 15; i >= 0; --i, value >>= 4) hex[i] = kDigits[value & 0xf];
+  out->append(hex, sizeof(hex));
+}
+
 }  // namespace
 
 // --- Checksums and bit-exact number round-trips -----------------------------
@@ -62,21 +71,18 @@ uint64_t Fnv1a64(std::string_view data, uint64_t basis) {
 }
 
 std::string DoubleToBitsHex(double value) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  return Uint64ToHex(bits);
+  return Uint64ToHex(std::bit_cast<uint64_t>(value));
 }
 
 Result<double> DoubleFromBitsHex(std::string_view hex) {
   RP_ASSIGN_OR_RETURN(uint64_t bits, Uint64FromHex(hex));
-  double value = 0.0;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
+  return std::bit_cast<double>(bits);
 }
 
 std::string Uint64ToHex(uint64_t value) {
-  return StrPrintf("%016llx", static_cast<unsigned long long>(value));
+  std::string hex;
+  AppendHex64(&hex, value);
+  return hex;
 }
 
 Result<uint64_t> Uint64FromHex(std::string_view hex) {
@@ -468,6 +474,199 @@ Result<std::string> ReadArtifact(const std::string& path,
     info->enveloped = true;
   }
   return payload;
+}
+
+// --- Payload codec ----------------------------------------------------------
+
+PayloadWriter& PayloadWriter::Line(std::string_view tag) {
+  if (!out_.empty()) out_ += '\n';
+  out_ += tag;
+  return *this;
+}
+
+PayloadWriter& PayloadWriter::Word(std::string_view word) {
+  out_ += ' ';
+  out_ += word;
+  return *this;
+}
+
+PayloadWriter& PayloadWriter::Int(int64_t value) {
+  char digits[24];
+  char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out_ += ' ';
+  out_.append(digits, end - digits);
+  return *this;
+}
+
+PayloadWriter& PayloadWriter::Hex64(uint64_t value) {
+  out_ += ' ';
+  AppendHex64(&out_, value);
+  return *this;
+}
+
+PayloadWriter& PayloadWriter::Double(double value) {
+  return Hex64(std::bit_cast<uint64_t>(value));
+}
+
+PayloadWriter& PayloadWriter::IntVec(const std::vector<int>& values) {
+  Int(static_cast<int64_t>(values.size()));
+  for (int v : values) Int(v);
+  return *this;
+}
+
+PayloadWriter& PayloadWriter::Int64Vec(const std::vector<int64_t>& values) {
+  Int(static_cast<int64_t>(values.size()));
+  for (int64_t v : values) Int(v);
+  return *this;
+}
+
+PayloadWriter& PayloadWriter::DoubleVec(const std::vector<double>& values) {
+  Int(static_cast<int64_t>(values.size()));
+  for (double v : values) Double(v);
+  return *this;
+}
+
+std::string PayloadWriter::Finish() {
+  if (!out_.empty()) out_ += '\n';
+  return std::move(out_);
+}
+
+namespace {
+
+template <typename T>
+bool ParseDecimal(std::string_view field, T* value) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *value);
+  return ec == std::errc() && ptr == end;
+}
+
+bool ParseHex64(std::string_view field, uint64_t* value) {
+  auto parsed = Uint64FromHex(field);
+  if (parsed.ok()) *value = *parsed;
+  return parsed.ok();
+}
+
+bool ParseBitsHex(std::string_view field, double* value) {
+  auto parsed = DoubleFromBitsHex(field);
+  if (parsed.ok()) *value = *parsed;
+  return parsed.ok();
+}
+
+}  // namespace
+
+Status PayloadReader::Corrupt(std::string_view what) const {
+  return Status::Corruption(StrPrintf("payload '%s': %.*s", tag_.c_str(),
+                                      static_cast<int>(what.size()),
+                                      what.data()));
+}
+
+Status PayloadReader::Line(std::string_view tag) {
+  if (!line_.empty()) return Corrupt("unread fields at end of line");
+  tag_ = tag;
+  if (rest_.empty()) return Corrupt("payload ends before this line");
+  const size_t newline = rest_.find('\n');
+  const std::string_view line = rest_.substr(0, newline);
+  rest_ = newline == std::string_view::npos ? std::string_view()
+                                             : rest_.substr(newline + 1);
+  const size_t space = line.find(' ');
+  line_ = space == std::string_view::npos ? std::string_view()
+                                          : line.substr(space);
+  if (line.substr(0, space) != tag) {
+    return Corrupt("line has a different tag: '" +
+                   std::string(line.substr(0, space)) + "'");
+  }
+  return Status::OK();
+}
+
+Result<std::string_view> PayloadReader::Field() {
+  if (line_.empty()) return Corrupt("line ends before this field");
+  const size_t end = line_.find(' ', 1);
+  const std::string_view field = line_.substr(1, end - 1);
+  line_ = end == std::string_view::npos ? std::string_view()
+                                        : line_.substr(end);
+  // Other blanks would split the field for a whitespace tokenizer.
+  if (field.empty() || field.find_first_of("\t\v\f\r") != field.npos) {
+    return Corrupt("empty or blank-bearing field");
+  }
+  return field;
+}
+
+Status PayloadReader::Expect(std::string_view tag) {
+  RP_ASSIGN_OR_RETURN(std::string_view found, Field());
+  tag_ = tag;
+  if (found != tag) {
+    return Corrupt("field has a different tag: '" + std::string(found) + "'");
+  }
+  return Status::OK();
+}
+
+template <typename T>
+Result<T> PayloadReader::Scalar(std::string_view tag, Parser<T> parse) {
+  if (!tag.empty()) RP_RETURN_IF_ERROR(Expect(tag));
+  RP_ASSIGN_OR_RETURN(std::string_view field, Field());
+  T value{};
+  if (!parse(field, &value)) {
+    return Corrupt("unreadable field '" + std::string(field) + "'");
+  }
+  return value;
+}
+
+template <typename T>
+Result<std::vector<T>> PayloadReader::Vector(std::string_view tag,
+                                             Parser<T> parse) {
+  RP_ASSIGN_OR_RETURN(int64_t count, Scalar<int64_t>(tag, ParseDecimal));
+  // Every value needs its own ' '-led field, so the separators left on the
+  // line bound the count before anything is allocated.
+  const int64_t fields_left = std::count(line_.begin(), line_.end(), ' ');
+  if (count < 0 || count > fields_left) {
+    return Corrupt(StrPrintf("count %lld does not fit the %lld fields left",
+                             static_cast<long long>(count),
+                             static_cast<long long>(fields_left)));
+  }
+  std::vector<T> values(static_cast<size_t>(count));
+  for (T& value : values) {
+    RP_ASSIGN_OR_RETURN(value, Scalar<T>({}, parse));
+  }
+  return values;
+}
+
+Result<std::string_view> PayloadReader::ReadWord(std::string_view tag) {
+  if (!tag.empty()) RP_RETURN_IF_ERROR(Expect(tag));
+  return Field();
+}
+
+Result<int> PayloadReader::ReadInt(std::string_view tag) {
+  return Scalar<int>(tag, ParseDecimal);
+}
+
+Result<int64_t> PayloadReader::ReadInt64(std::string_view tag) {
+  return Scalar<int64_t>(tag, ParseDecimal);
+}
+
+Result<uint64_t> PayloadReader::ReadHex64(std::string_view tag) {
+  return Scalar<uint64_t>(tag, ParseHex64);
+}
+
+Result<double> PayloadReader::ReadDouble(std::string_view tag) {
+  return Scalar<double>(tag, ParseBitsHex);
+}
+
+Result<std::vector<int>> PayloadReader::ReadIntVec(std::string_view tag) {
+  return Vector<int>(tag, ParseDecimal);
+}
+
+Result<std::vector<int64_t>> PayloadReader::ReadInt64Vec(std::string_view tag) {
+  return Vector<int64_t>(tag, ParseDecimal);
+}
+
+Result<std::vector<double>> PayloadReader::ReadDoubleVec(std::string_view tag) {
+  return Vector<double>(tag, ParseBitsHex);
+}
+
+Status PayloadReader::Finish() {
+  if (!line_.empty()) return Corrupt("unread fields at end of payload");
+  if (!rest_.empty()) return Corrupt("unread lines at end of payload");
+  return Status::OK();
 }
 
 }  // namespace roadpart

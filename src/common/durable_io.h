@@ -34,6 +34,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
@@ -186,6 +187,76 @@ Result<std::string> ReadArtifact(const std::string& path,
 
 /// Reads an entire file into a string (binary-exact).
 Result<std::string> ReadFileBytes(const std::string& path);
+
+// --- Payload codec ----------------------------------------------------------
+//
+// The text codec shared by the resume stores (checkpoint stages, "rpinc",
+// "rpjournal"); DESIGN.md "Payload codec" gives the grammar. A payload is
+// lines of single-space-separated fields, each line led by a tag. Integers
+// are decimal, doubles are DoubleToBitsHex fields, and vectors are a count
+// followed by that many values on the same line.
+
+/// Builds a payload one line at a time.
+class PayloadWriter {
+ public:
+  /// Ends the current line (if any) and starts a new one led by `tag`.
+  PayloadWriter& Line(std::string_view tag);
+  /// Appends one whitespace-free token: an inner tag or a word value.
+  PayloadWriter& Word(std::string_view word);
+  PayloadWriter& Int(int64_t value);
+  PayloadWriter& Hex64(uint64_t value);
+  PayloadWriter& Double(double value);
+  PayloadWriter& IntVec(const std::vector<int>& values);
+  PayloadWriter& Int64Vec(const std::vector<int64_t>& values);
+  PayloadWriter& DoubleVec(const std::vector<double>& values);
+  /// Ends the last line and hands over the payload.
+  std::string Finish();
+
+ private:
+  std::string out_;
+};
+
+/// Line-strict reader of PayloadWriter output. Fields never run across a
+/// line break, a vector's count must be non-negative and no larger than the
+/// fields left on its line, and every failure is a Status::Corruption that
+/// names the tag being read. Typed reads given a `tag` first Expect it.
+/// The reader views `payload` without copying it; the payload must outlive
+/// the reader and the views ReadWord returns.
+class PayloadReader {
+ public:
+  explicit PayloadReader(std::string_view payload) : rest_(payload) {}
+
+  /// Moves to the next line, which must lead with `tag`. The current line
+  /// must be fully consumed.
+  Status Line(std::string_view tag);
+  /// The next field on the current line must be `tag`.
+  Status Expect(std::string_view tag);
+  Result<std::string_view> ReadWord(std::string_view tag = {});
+  Result<int> ReadInt(std::string_view tag = {});
+  Result<int64_t> ReadInt64(std::string_view tag = {});
+  Result<uint64_t> ReadHex64(std::string_view tag = {});
+  Result<double> ReadDouble(std::string_view tag = {});
+  Result<std::vector<int>> ReadIntVec(std::string_view tag = {});
+  Result<std::vector<int64_t>> ReadInt64Vec(std::string_view tag = {});
+  Result<std::vector<double>> ReadDoubleVec(std::string_view tag = {});
+  /// The payload must be fully consumed: no fields or lines left.
+  Status Finish();
+
+ private:
+  template <typename T>
+  using Parser = bool (*)(std::string_view field, T* value);
+  template <typename T>
+  Result<T> Scalar(std::string_view tag, Parser<T> parse);
+  template <typename T>
+  Result<std::vector<T>> Vector(std::string_view tag, Parser<T> parse);
+  Result<std::string_view> Field();
+  Status Corrupt(std::string_view what) const;
+
+  std::string_view rest_;  ///< lines not yet started
+  std::string_view line_;  ///< unread fields of the current line, each
+                           ///< preceded by its ' ' separator
+  std::string tag_;        ///< last tag read, for error messages
+};
 
 }  // namespace roadpart
 

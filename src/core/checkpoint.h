@@ -15,9 +15,10 @@
 /// directory is keyed by a RunManifest — an FNV fingerprint of the input
 /// road graph plus a hash of every output-affecting option — so a resumed
 /// run can only consume checkpoints produced by an identical computation.
-/// Stage payloads serialize doubles as IEEE-754 bit patterns, which makes a
-/// resumed run *bit-identical* to an uninterrupted one (and, like the rest
-/// of the pipeline, invariant across thread counts).
+/// Stage payloads use the shared payload codec (DESIGN.md "Payload codec"),
+/// whose bit-exact doubles make a resumed run *bit-identical* to an
+/// uninterrupted one (and, like the rest of the pipeline, invariant across
+/// thread counts).
 ///
 /// Failure policy: a missing, corrupt, or mismatched checkpoint never fails
 /// the run — the stage is recomputed and a warning is recorded. Corruption
@@ -120,8 +121,9 @@ class CheckpointStore {
 
 // --- Stage payload codecs ---------------------------------------------------
 //
-// Text, line-oriented, every double as an IEEE bit-pattern hex field. The
-// codecs are exact inverses: Decode(Encode(x)) reproduces x bit-for-bit.
+// Built on the shared payload codec (DESIGN.md "Payload codec"). The codecs
+// are exact inverses: Decode(Encode(x)) reproduces x bit-for-bit. Decode
+// also checks that cut and final labels lie in [0, k_final).
 
 /// Module-2 result. When `roadgraph_fallback` is set the mined supergraph
 /// stayed below k supernodes even at the strictest stability setting and the

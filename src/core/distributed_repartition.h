@@ -141,8 +141,9 @@ class IncrementalRepartitioner {
       const std::vector<double>& densities);
 
   /// Persists the engine's incremental state (cached cuts + warm embeddings)
-  /// as a checksummed durable artifact (format "rpinc"), keyed by the bound
-  /// topology, region assignment, and output-affecting options.
+  /// as a checksummed durable artifact (format "rpinc", payload per DESIGN.md
+  /// "Payload codec"), keyed by the bound topology, region assignment, and
+  /// output-affecting options.
   Status SaveCache(const std::string& path) const;
 
   /// Restores state saved by SaveCache. Returns true when the cache was

@@ -9,7 +9,6 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "core/spectral_common.h"
-#include "serve/snapshot.h"
 
 namespace roadpart {
 
@@ -109,14 +108,6 @@ Result<PartitionOutcome> Partitioner::PartitionNetwork(
   RP_ASSIGN_OR_RETURN(PartitionOutcome outcome,
                       PartitionWithBudget(graph, module1));
   outcome.module1_seconds = module1;
-  if (!options_.snapshot_path.empty()) {
-    // Serving-snapshot export: downstream of the partition proper, so a
-    // failed write fails the run loudly instead of leaving a stale snapshot.
-    RP_ASSIGN_OR_RETURN(Snapshot snapshot,
-                        Snapshot::Build(network, outcome.assignment));
-    RP_RETURN_IF_ERROR(
-        snapshot.Save(options_.snapshot_path, options_.checkpoint.retry));
-  }
   return outcome;
 }
 

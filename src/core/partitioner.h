@@ -70,13 +70,6 @@ struct PartitionerOptions {
   /// missing/corrupt/mismatched checkpoint recomputes with a warning; it
   /// never fails the run.
   CheckpointOptions checkpoint;
-  /// When non-empty, PartitionNetwork exports the finished partition as an
-  /// immutable serving snapshot (serve/snapshot.h, format "rpsnap") at this
-  /// path, written atomically through the checksummed artifact envelope with
-  /// `checkpoint.retry` bounding transient write faults. Requires network
-  /// geometry, so PartitionRoadGraph ignores it. Purely an output sink —
-  /// excluded from CanonicalOptionsString.
-  std::string snapshot_path;
   /// When non-null, receives the top-level spectral embedding of the cut
   /// (SpectralPipelineOptions::embedding_sink): the n x k matrix k-means
   /// clustered — n is the cut target's order, i.e. the supergraph's for
@@ -90,8 +83,7 @@ struct PartitionerOptions {
 /// Canonical text of every output-affecting field of PartitionerOptions.
 /// Excludes the knobs that cannot change the result: num_threads (kernels
 /// are thread-count-invariant), deadline_seconds (an expired deadline fails
-/// the run rather than altering it), the checkpoint policy itself, and
-/// snapshot_path (an output sink, not an input).
+/// the run rather than altering it), and the checkpoint policy itself.
 /// Doubles are rendered as IEEE bit patterns, so equal strings mean exactly
 /// equal configurations. Hashed into the checkpoint RunManifest.
 std::string CanonicalOptionsString(const PartitionerOptions& options);

@@ -20,11 +20,11 @@
 ///
 /// Versioning: the envelope records format "rpjournal" version 1; any
 /// layout change bumps the version and old readers refuse the file as a
-/// cold restart (never an error). Doubles are stored as IEEE-754 bit
-/// patterns, so a resumed run sees bit-exact quality baselines and replayed
-/// series are byte-identical. Paths stored in the journal must not contain
-/// whitespace (the payload is token-oriented); the pipeline only writes
-/// paths it derived from its own state directory.
+/// cold restart (never an error). The payload uses the shared payload codec
+/// (DESIGN.md "Payload codec"): its bit-exact doubles give a resumed run
+/// bit-exact quality baselines and byte-identical replayed series, and its
+/// word fields mean stored paths must not contain whitespace; the pipeline
+/// only writes paths it derived from its own state directory.
 ///
 /// Failure policy mirrors the incremental cache (core "rpinc"): a missing,
 /// corrupt, differently-keyed, or injected-corrupt (fault site

@@ -181,6 +181,168 @@ TEST(CheckpointCodecTest, GarbageDecodesAsCorruption) {
             StatusCode::kCorruption);
 }
 
+// --- Format pins and malformed payloads behind a valid envelope ---
+
+// One fixed instance per stage, small enough to read in its payload.
+MiningCheckpoint PinnedMining() {
+  MiningCheckpoint mining;
+  mining.num_supernodes = 2;
+  mining.module2_seconds = 0.0421;
+  SupergraphMiningReport& report = mining.report;
+  report.kappas = {2, 3};
+  report.mcg = {0.5, -0.25};
+  report.shortlisted_kappas = {2};
+  report.component_counts = {2};
+  report.threshold = 0.125;
+  report.effective_max_kappa = 3;
+  report.chosen_kappa = 2;
+  report.supernodes_before_stability = 2;
+  report.supernodes_after_stability = 2;
+  report.stability_values = {1.0, 0.75};
+  report.sweep_seconds = 1e-3;
+  report.cluster_seconds = 2e-3;
+  report.superlink_seconds = 3e-3;
+  CsrGraph links = CsrGraph::FromEdges(2, {{0, 1, 0.5}}).value();
+  mining.supergraph = Supergraph::Create({{{0, 2}, 0.2}, {{1}, 0.9}},
+                                         std::move(links), 3)
+                          .value();
+  return mining;
+}
+
+CutCheckpoint PinnedCut() {
+  CutCheckpoint cut;
+  cut.assignment = {0, 2, 1, 1, 0, 3};
+  cut.k_final = 4;
+  cut.k_prime = 5;
+  cut.objective = 1.0 / 3.0;
+  cut.eigen.solver_path = SolverPath::kLanczosRetry;
+  cut.eigen.solves = 3;
+  cut.eigen.lanczos_restarts = 7;
+  cut.eigen.worst_ritz_residual = 2.4061e-15;
+  return cut;
+}
+
+FinalCheckpoint PinnedFinal() {
+  FinalCheckpoint fin;
+  fin.assignment = {1, 0, 0, 2};
+  fin.k_final = 3;
+  fin.k_prime = 3;
+  fin.num_supernodes = 17;
+  fin.objective = -0.0;
+  fin.module2_seconds = 0.123456789123456789;
+  fin.module3_seconds = 1e-308;
+  fin.eigen.solver_path = SolverPath::kDense;
+  fin.eigen.solves = 4;
+  fin.eigen.all_converged = true;
+  return fin;
+}
+
+const RunManifest kPinManifest{0x1234, 0x5678};
+
+// Saves `payload` as a stage artifact and hands back what a resuming store
+// loads, so only the payload can be malformed, never its envelope.
+std::string StoreStage(CheckpointStage stage, const std::string& payload,
+                       std::string* file_bytes = nullptr) {
+  CheckpointOptions options;
+  options.dir = FreshDir("stage_store");
+  CheckpointStore writer(options, kPinManifest);
+  RP_CHECK_OK(writer.Initialize());
+  RP_CHECK_OK(writer.SaveStage(stage, payload));
+  if (file_bytes != nullptr) {
+    *file_bytes = ReadFileBytes(writer.StagePath(stage)).value();
+  }
+  options.resume = true;
+  CheckpointStore reader(options, kPinManifest);
+  RP_CHECK_OK(reader.Initialize());
+  std::optional<std::string> stored = reader.LoadStage(stage);
+  RP_CHECK(stored.has_value());
+  return *stored;
+}
+
+std::string StageFileHash(CheckpointStage stage, const std::string& payload) {
+  std::string bytes;
+  StoreStage(stage, payload, &bytes);
+  return Uint64ToHex(Fnv1a64(bytes));
+}
+
+TEST(CheckpointCodecTest, StageFileBytesArePinned) {
+  // Round trips cannot see byte drift in the encoders; these digests of
+  // whole stage files can. They change only with a format version bump.
+  EXPECT_EQ(StageFileHash(CheckpointStage::kMining,
+                          EncodeMiningCheckpoint(PinnedMining())),
+            "091254feebb1065a");
+  EXPECT_EQ(
+      StageFileHash(CheckpointStage::kCut, EncodeCutCheckpoint(PinnedCut())),
+      "a3106bc61e03ef7f");
+  EXPECT_EQ(StageFileHash(CheckpointStage::kFinal,
+                          EncodeFinalCheckpoint(PinnedFinal())),
+            "fbe858ca3f77e7b3");
+}
+
+std::string Edited(std::string payload, const std::string& from,
+                   const std::string& to) {
+  const size_t at = payload.find(from);
+  RP_CHECK(at != std::string::npos);
+  return payload.replace(at, from.size(), to);
+}
+
+StatusCode DecodeStored(CheckpointStage stage, const std::string& payload) {
+  const std::string stored = StoreStage(stage, payload);
+  switch (stage) {
+    case CheckpointStage::kMining:
+      return DecodeMiningCheckpoint(stored).status().code();
+    case CheckpointStage::kCut:
+      return DecodeCutCheckpoint(stored).status().code();
+    case CheckpointStage::kFinal:
+      return DecodeFinalCheckpoint(stored).status().code();
+  }
+  return StatusCode::kOk;
+}
+
+TEST(CheckpointCodecTest, MalformedPayloadsBehindValidEnvelopeAreCorruption) {
+  const std::string mining = EncodeMiningCheckpoint(PinnedMining());
+  const std::string cut = EncodeCutCheckpoint(PinnedCut());
+  const std::string fin = EncodeFinalCheckpoint(PinnedFinal());
+  struct Case {
+    CheckpointStage stage;
+    std::string payload;
+  };
+  const Case cases[] = {
+      // Counts that must not size a vector: negative, huge, too long.
+      {CheckpointStage::kCut, Edited(cut, "assignment 6", "assignment -1")},
+      {CheckpointStage::kCut,
+       Edited(cut, "assignment 6", "assignment 100000000000")},
+      {CheckpointStage::kCut, Edited(cut, "assignment 6", "assignment 7")},
+      {CheckpointStage::kFinal, Edited(fin, "assignment 4", "assignment -1")},
+      {CheckpointStage::kFinal,
+       Edited(fin, "assignment 4", "assignment 100000000000")},
+      {CheckpointStage::kFinal, Edited(fin, "assignment 4", "assignment 5")},
+      {CheckpointStage::kMining, Edited(mining, "kappas 2", "kappas -1")},
+      {CheckpointStage::kMining,
+       Edited(mining, "kappas 2", "kappas 100000000000")},
+      {CheckpointStage::kMining, Edited(mining, "kappas 2", "kappas 3")},
+      {CheckpointStage::kMining,
+       Edited(mining, "supergraph 3 2", "supergraph 3 -1")},
+      {CheckpointStage::kMining,
+       Edited(mining, "supergraph 3 2", "supergraph 2000000000 2")},
+      {CheckpointStage::kMining,
+       Edited(mining, "supergraph 3 2", "supergraph 3 2000000000")},
+      // Wrong tags.
+      {CheckpointStage::kCut, Edited(cut, "k-prime", "k-primo")},
+      {CheckpointStage::kFinal, Edited(fin, "module3", "module4")},
+      {CheckpointStage::kMining, Edited(mining, "\nlinks", "\nlinkz")},
+      // Out-of-range labels and members.
+      {CheckpointStage::kCut, Edited(cut, " 0 3\n", " 0 4\n")},
+      {CheckpointStage::kFinal, Edited(fin, "4 1 0 0 2", "4 1 0 -1 2")},
+      {CheckpointStage::kMining, Edited(mining, " 2 0 2\n", " 2 0 7\n")},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(DecodeStored(c.stage, c.payload), StatusCode::kCorruption)
+        << CheckpointStageName(c.stage) << " payload:\n"
+        << c.payload;
+  }
+}
+
 // --- Store policies ---
 
 TEST(CheckpointStoreTest, SaveThenResumeServesPayload) {

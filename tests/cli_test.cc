@@ -7,7 +7,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
+
+#include "roadpart/roadpart.h"
 
 namespace roadpart {
 namespace {
@@ -79,6 +82,45 @@ TEST_F(CliWorkflowTest, SeriesAndAnalyze) {
 
 TEST_F(CliWorkflowTest, SweepRuns) {
   EXPECT_EQ(RunCli("sweep --scheme=ASG --kmin=2 --kmax=4 " + net_), 0);
+}
+
+TEST_F(CliWorkflowTest, SnapshotOutWritesTheLibrarySnapshot) {
+  const std::string csv = dir_ + "/cli_snap.csv";
+  const std::string snap = dir_ + "/cli_snap.rpsnap";
+  const std::string log = dir_ + "/cli_snap.log";
+  ASSERT_EQ(std::system((std::string(RP_CLI_PATH) +
+                         " partition --scheme=ASG --k=5 --snapshot-out=" +
+                         snap + " " + net_ + " " + csv + " > " + log)
+                            .c_str()),
+            0);
+  std::ostringstream out;
+  out << std::ifstream(log).rdbuf();
+  EXPECT_NE(out.str().find("wrote serving snapshot " + snap + "\n"),
+            std::string::npos)
+      << out.str();
+
+  // The file is exactly the snapshot the library builds from the network
+  // and the partition the command wrote.
+  auto net = LoadRoadNetwork(net_);
+  ASSERT_TRUE(net.ok());
+  auto labels = LoadPartitionCsv(csv, net->num_segments());
+  ASSERT_TRUE(labels.ok());
+  auto expected = Snapshot::Build(*net, *labels);
+  ASSERT_TRUE(expected.ok());
+  const std::string expected_path = dir_ + "/cli_snap_expected.rpsnap";
+  ASSERT_TRUE(expected->Save(expected_path).ok());
+  EXPECT_EQ(ReadFileBytes(snap).value(), ReadFileBytes(expected_path).value());
+
+  // A snapshot that cannot be saved fails the command before the CSV.
+  const std::string blocked_csv = dir_ + "/cli_snap_blocked.csv";
+  std::remove(blocked_csv.c_str());
+  EXPECT_NE(RunCli("partition --scheme=ASG --k=5 --snapshot-out=" + csv +
+                   "/under_a_file.rpsnap " + net_ + " " + blocked_csv),
+            0);
+  EXPECT_FALSE(FileNonEmpty(blocked_csv));
+  for (const std::string& path : {csv, snap, log, expected_path}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(CliWorkflowTest, BadInputsFailCleanly) {

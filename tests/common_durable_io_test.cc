@@ -2,10 +2,12 @@
 // atomic-writer lifecycle, injected write faults, the deterministic retry
 // schedule, and the checksummed envelope — including an exhaustive proof
 // that flipping ANY single byte of a saved artifact is detected as
-// Status::Corruption on load, never returned as plausible data.
+// Status::Corruption on load, never returned as plausible data — and the
+// payload codec the resume stores share.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -393,6 +395,111 @@ TEST(ArtifactTest, TruncationIsDetectedAsCorruption) {
   }
   std::remove(path.c_str());
   std::remove(truncated_path.c_str());
+}
+
+// --- Payload codec ---
+
+TEST(PayloadCodecTest, WriterEmitsTheLineGrammar) {
+  PayloadWriter out;
+  out.Line("head").Int(-3).Word("x").Hex64(0xabc).Double(1.0);
+  out.Line("ints").IntVec({4, -5});
+  out.Line("wide").Int64Vec({int64_t{1} << 40});
+  out.Line("doubles").DoubleVec({});
+  EXPECT_EQ(out.Finish(),
+            "head -3 x 0000000000000abc 3ff0000000000000\n"
+            "ints 2 4 -5\n"
+            "wide 1 1099511627776\n"
+            "doubles 0\n");
+}
+
+TEST(PayloadCodecTest, ReaderRoundTripsEveryFieldKind) {
+  PayloadWriter out;
+  out.Line("head").Int(-3).Word("x").Hex64(0xabc).Double(-0.0);
+  out.Line("ints").IntVec({4, -5}).Word("tail").Word("word");
+  out.Line("wide").Int64Vec({int64_t{1} << 40});
+  out.Line("doubles").DoubleVec({0.1, 1e-308});
+  const std::string payload = out.Finish();
+
+  PayloadReader in(payload);
+  ASSERT_TRUE(in.Line("head").ok());
+  EXPECT_EQ(in.ReadInt().value(), -3);
+  EXPECT_EQ(in.ReadHex64("x").value(), 0xabcu);
+  const double zero = in.ReadDouble().value();
+  EXPECT_EQ(zero, 0.0);
+  EXPECT_TRUE(std::signbit(zero));
+  ASSERT_TRUE(in.Line("ints").ok());
+  EXPECT_EQ(in.ReadIntVec().value(), (std::vector<int>{4, -5}));
+  EXPECT_EQ(in.ReadWord("tail").value(), "word");
+  ASSERT_TRUE(in.Line("wide").ok());
+  EXPECT_EQ(in.ReadInt64Vec().value(),
+            (std::vector<int64_t>{int64_t{1} << 40}));
+  ASSERT_TRUE(in.Line("doubles").ok());
+  EXPECT_EQ(in.ReadDoubleVec().value(), (std::vector<double>{0.1, 1e-308}));
+  EXPECT_TRUE(in.Finish().ok());
+}
+
+// Reads one "v" line holding an int vector.
+Status ReadVecLine(const std::string& payload) {
+  PayloadReader in(payload);
+  RP_RETURN_IF_ERROR(in.Line("v"));
+  RP_ASSIGN_OR_RETURN(std::vector<int> values, in.ReadIntVec());
+  (void)values;
+  return in.Finish();
+}
+
+TEST(PayloadCodecTest, VectorCountsAreBoundedByTheLine) {
+  EXPECT_TRUE(ReadVecLine("v 2 7 8\n").ok());
+  EXPECT_TRUE(ReadVecLine("v 0\n").ok());
+  for (const char* bad :
+       {"v -1\n", "v -1 7\n", "v 100000000000 7 8\n",
+        "v 18446744073709551615\n", "v 3 7 8\n", "v 3 7 8\n9\n",
+        "v 1 7 8\n", "v 2 7 x\n", "v 2 7 99999999999\n", "v\n"}) {
+    const Status status = ReadVecLine(bad);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << bad;
+    EXPECT_NE(status.message().find("'v'"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(PayloadCodecTest, FieldsAreStrictTokens) {
+  auto read_int = [](const std::string& payload) -> Result<int> {
+    PayloadReader in(payload);
+    RP_RETURN_IF_ERROR(in.Line("n"));
+    RP_ASSIGN_OR_RETURN(int value, in.ReadInt());
+    RP_RETURN_IF_ERROR(in.Finish());
+    return value;
+  };
+  EXPECT_EQ(read_int("n 12\n").value(), 12);
+  EXPECT_EQ(read_int("n 12").value(), 12);  // final newline is optional
+  for (const char* bad : {"n  12\n", "n 12 \n", "n +12\n", "n 12x\n",
+                          "n 2147483648\n", "n\t12\n", "m 12\n", "\n",
+                          "", "n 12\n\n"}) {
+    EXPECT_EQ(read_int(bad).status().code(), StatusCode::kCorruption) << bad;
+  }
+}
+
+TEST(PayloadCodecTest, ErrorsNameTheTagBeingRead) {
+  PayloadReader in("key 1 valid x\n");
+  ASSERT_TRUE(in.Line("key").ok());
+  ASSERT_TRUE(in.ReadInt().ok());
+  const Status status = in.ReadInt("valid").status();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("'valid'"), std::string::npos)
+      << status.ToString();
+
+  PayloadReader wrong("key 1\n");
+  const Status tag = wrong.Line("ktop");
+  EXPECT_EQ(tag.code(), StatusCode::kCorruption);
+  EXPECT_NE(tag.message().find("'ktop'"), std::string::npos) << tag.ToString();
+  EXPECT_EQ(wrong.ReadHex64("key").status().code(), StatusCode::kCorruption);
+  // A word never carries a blank a whitespace tokenizer would split at.
+  PayloadReader blank("w none\tx\n");
+  ASSERT_TRUE(blank.Line("w").ok());
+  EXPECT_EQ(blank.ReadWord().status().code(), StatusCode::kCorruption);
+  // Hex fields keep the envelope's lowercase-only rule.
+  PayloadReader upper("h 0A\n");
+  ASSERT_TRUE(upper.Line("h").ok());
+  EXPECT_EQ(upper.ReadHex64().status().code(), StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -241,32 +241,5 @@ TEST(TimerTest, MonotoneNonNegative) {
   EXPECT_GE(b, a);
 }
 
-TEST(PhaseTimerTest, AccumulatesPhases) {
-  PhaseTimer pt;
-  pt.StartPhase("one");
-  pt.StartPhase("two");
-  pt.Stop();
-  EXPECT_GE(pt.PhaseSeconds("one"), 0.0);
-  EXPECT_GE(pt.PhaseSeconds("two"), 0.0);
-  EXPECT_EQ(pt.PhaseSeconds("absent"), 0.0);
-  EXPECT_GE(pt.TotalSeconds(),
-            pt.PhaseSeconds("one") + pt.PhaseSeconds("two") - 1e-9);
-  auto names = pt.PhaseNames();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "one");
-  EXPECT_EQ(names[1], "two");
-}
-
-TEST(PhaseTimerTest, ReenteringPhaseAccumulates) {
-  PhaseTimer pt;
-  pt.StartPhase("a");
-  pt.Stop();
-  double first = pt.PhaseSeconds("a");
-  pt.StartPhase("a");
-  pt.Stop();
-  EXPECT_GE(pt.PhaseSeconds("a"), first);
-  EXPECT_EQ(pt.PhaseNames().size(), 1u);
-}
-
 }  // namespace
 }  // namespace roadpart

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/durable_io.h"
 #include "common/fault_injection.h"
 #include "common/timer.h"
@@ -306,6 +307,72 @@ TEST(IncrementalRepartitionerTest, SaveLoadCacheRoundTrip) {
   ASSERT_TRUE(mismatched.ok());
   EXPECT_FALSE(*mismatched);
   EXPECT_EQ(d->num_refreshes(), 0);
+}
+
+// Saves the cache of the round-trip fixture engine after two refreshes.
+std::string SaveFixtureCache(const Fixture& s, const std::string& name) {
+  std::vector<std::vector<double>> series = MakeSeries(s, 3);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial,
+                                                 IncrementalOptions());
+  RP_CHECK(engine.ok());
+  RP_CHECK(engine->Refresh(series[0]).ok());
+  RP_CHECK(engine->Refresh(series[1]).ok());
+  const std::string path = testing::TempDir() + "/" + name;
+  RP_CHECK_OK(engine->SaveCache(path));
+  return path;
+}
+
+TEST(IncrementalRepartitionerTest, CacheFileBytesArePinned) {
+  // Round trips cannot see byte drift in the encoder; this digest of the
+  // whole file can. It changes only with a format version bump.
+  Fixture s = MakeSetup(15);
+  const std::string path = SaveFixtureCache(s, "rpinc_pin.cache");
+  EXPECT_EQ(Uint64ToHex(Fnv1a64(ReadFileBytes(path).value())),
+            "46a89d68938bbf94");
+}
+
+// Replaces field `index` (0 is the tag) of the first payload line led by
+// `tag`; `old_value`, when given, receives the replaced field.
+std::string EditField(std::string payload, const std::string& tag, int index,
+                      const std::string& value,
+                      std::string* old_value = nullptr) {
+  size_t at = payload.find("\n" + tag + " ");
+  RP_CHECK(at != std::string::npos);
+  for (int i = 0; i <= index; ++i) at = payload.find_first_of(" \n", at) + 1;
+  const size_t end = payload.find_first_of(" \n", at);
+  if (old_value != nullptr) *old_value = payload.substr(at, end - at);
+  return payload.replace(at, end - at, value);
+}
+
+TEST(IncrementalRepartitionerTest, MalformedCacheBehindEnvelopeColdStarts) {
+  // The envelope verifies, so only the strict decode stands between these
+  // payloads and adoption: bad counts, wrong tags and out-of-range labels
+  // must all leave the engine cold with one warning, never abort.
+  Fixture s = MakeSetup(15);
+  const std::string path = SaveFixtureCache(s, "rpinc_malformed.cache");
+  const std::string payload = ReadArtifact(path).value();
+  std::string labels;
+  EditField(payload, "labels", 1, "", &labels);
+  ASSERT_GT(std::stoi(labels), 1);
+  const std::vector<std::string> bad_payloads = {
+      EditField(payload, "warm", 1, "-1"),
+      EditField(payload, "labels", 1, "-1"),
+      EditField(payload, "boundary", 1, "100000000000"),
+      EditField(payload, "labels", 1, std::to_string(std::stoi(labels) + 1)),
+      EditField(payload, "warm", 0, "warn"),
+      EditField(payload, "labels", 2, "99"),
+  };
+  for (const std::string& bad : bad_payloads) {
+    ASSERT_TRUE(WriteArtifact(path, "rpinc", 1, bad).ok());
+    auto engine = IncrementalRepartitioner::Create(s.graph, s.initial,
+                                                   IncrementalOptions());
+    ASSERT_TRUE(engine.ok());
+    auto adopted = engine->LoadCache(path);
+    ASSERT_TRUE(adopted.ok());
+    EXPECT_FALSE(*adopted) << bad;
+    EXPECT_EQ(engine->warnings().size(), 1u) << bad;
+    EXPECT_EQ(engine->num_refreshes(), 0);
+  }
 }
 
 TEST(IncrementalRepartitionerTest, WarmStartCorruptionFaultColdStarts) {

@@ -237,6 +237,48 @@ TEST(PipelineJournalTest, InjectedCorruptionColdRestarts) {
   EXPECT_TRUE(warnings.empty());
 }
 
+TEST(PipelineJournalTest, FileBytesArePinned) {
+  // Round trips cannot see byte drift in the encoder; this digest of the
+  // whole file can. It changes only with a format version bump.
+  const std::string path = TempPath("journal_pin.rpj");
+  ASSERT_TRUE(SaveJournal(SampleJournal(), path).ok());
+  EXPECT_EQ(Uint64ToHex(Fnv1a64(ReadAll(path))), "2411dfe23ded55ca");
+}
+
+TEST(PipelineJournalTest, MalformedPayloadsBehindValidEnvelopeColdRestart) {
+  // The envelope verifies, so only the strict decode stands between these
+  // payloads and adoption: bad counts, wrong tags and out-of-range ids must
+  // all load as "no journal" with one warning, never abort.
+  const PipelineJournal j = SampleJournal();
+  const std::string path = TempPath("journal_malformed.rpj");
+  ASSERT_TRUE(SaveJournal(j, path).ok());
+  const std::string payload = ReadArtifact(path).value();
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"regions 6", "regions -1"},
+      {"regions 6", "regions 100000000000"},
+      {"regions 6", "regions 7"},
+      {"tracker 4 6", "tracker 4 -1"},
+      {"tracker 4 6", "tracker 4 100000000000"},
+      {"intervals 3", "intervals -1"},
+      {"intervals 3", "intervals 100000000000"},
+      {"intervals 3", "intervals 4"},
+      {"\nktop", "\nktap"},
+      {" churn ", " chrun "},
+      {"regions 6 0 1 2 1 0 2", "regions 6 0 1 2 1 0 3"},
+      {"tracker 4 6 0 1 2 3", "tracker 4 6 0 1 2 4"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string bad = payload;
+    const size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    bad.replace(at, from.size(), to);
+    ASSERT_TRUE(WriteArtifact(path, "rpjournal", 1, bad).ok());
+    std::vector<std::string> warnings;
+    EXPECT_FALSE(LoadJournal(path, j.key, {}, &warnings).has_value()) << bad;
+    EXPECT_EQ(warnings.size(), 1u) << bad;
+  }
+}
+
 TEST(PipelineJournalTest, OutcomeTokensRoundTrip) {
   for (PipelineIntervalOutcome outcome :
        {PipelineIntervalOutcome::kPublished, PipelineIntervalOutcome::kDegraded,

@@ -187,6 +187,23 @@ TEST(StripTest, BackslashContinuedLineCommentStaysAComment) {
   EXPECT_NE(out.find("int keep;"), std::string::npos);
 }
 
+TEST(StripTest, EscapedQuoteDoesNotEndTheLiteral) {
+  std::string out =
+      StripCommentsAndStrings("const char* s = \"a\\\"rand(\"; int x;");
+  EXPECT_EQ(out.find("rand"), std::string::npos);
+  EXPECT_NE(out.find("int x;"), std::string::npos);
+}
+
+TEST(StripTest, FindingLinesSurviveStrippedComments) {
+  auto findings = Analyze("src/core/x.cc",
+                          "// line 1 comment\n"
+                          "/* line 2\n"
+                          "   line 3 */\n"
+                          "int v = rand();\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 4);
+}
+
 // ---------------------------------------------------------------------------
 // Rule: banned-nondeterminism
 // ---------------------------------------------------------------------------
@@ -201,6 +218,31 @@ TEST(NondeterminismRule, FlagsRandSrandRandomDeviceAndWallClockSeed) {
 TEST(NondeterminismRule, RngModuleIsExempt) {
   auto findings = Analyze("src/common/rng.cc", "int f() { return rand(); }\n");
   EXPECT_EQ(CountRule(findings, "banned-nondeterminism"), 0);
+}
+
+TEST(NondeterminismRule, FiresOutsideSrcAndOnNullTimeSeeds) {
+  EXPECT_EQ(CountRule(Analyze("bench/b.cc", "srand(42);"),
+                      "banned-nondeterminism"),
+            1);
+  EXPECT_EQ(CountRule(Analyze("tools/t.cc", "std::random_device rd;"),
+                      "banned-nondeterminism"),
+            1);
+  EXPECT_GE(CountRule(Analyze("src/core/x.cc", "srand(time(NULL));"),
+                      "banned-nondeterminism"),
+            1);
+  EXPECT_EQ(CountRule(Analyze("src/core/x.cc", "Rng r(time(nullptr));"),
+                      "banned-nondeterminism"),
+            1);
+}
+
+TEST(NondeterminismRule, SanctionedRngAndLookalikeNamesAreClean) {
+  for (const char* src : {"Rng rng(seed); rng.NextDouble();",
+                          "int operand = grand(1);",
+                          "double t = time(now);"}) {
+    EXPECT_EQ(CountRule(Analyze("src/core/x.cc", src), "banned-nondeterminism"),
+              0)
+        << src;
+  }
 }
 
 TEST(NondeterminismRule, RegressionNoFiringInsideRawStringOrComment) {
@@ -226,6 +268,44 @@ TEST(PrintRule, ToolsAndLoggingSinkAreExempt) {
   const std::string src = "void f() { printf(\"x\"); }\n";
   EXPECT_EQ(CountRule(Analyze("tools/foo.cc", src), "print-in-library"), 0);
   EXPECT_EQ(CountRule(Analyze("src/common/logging.cc", src), "print-in-library"),
+            0);
+}
+
+TEST(PrintRule, FlagsCerrAndFprintfToo) {
+  EXPECT_EQ(CountRule(Analyze("src/core/x.cc", "std::cerr << 1;"),
+                      "print-in-library"),
+            1);
+  EXPECT_EQ(CountRule(Analyze("src/graph/g.cc", "std::fprintf(stderr, \"x\");"),
+                      "print-in-library"),
+            1);
+}
+
+TEST(PrintRule, LoggingBenchesAndFormattingAreClean) {
+  EXPECT_EQ(CountRule(Analyze("src/core/x.cc", "RP_LOG(Info) << \"x\";"),
+                      "print-in-library"),
+            0);
+  EXPECT_EQ(CountRule(Analyze("bench/b.cc", "printf(\"%d\", 1);"),
+                      "print-in-library"),
+            0);
+  EXPECT_EQ(CountRule(Analyze("src/common/logging.cc",
+                              "std::fputs(\"x\", stderr);"),
+                      "print-in-library"),
+            0);
+  // snprintf into a buffer is formatting, not printing.
+  EXPECT_EQ(CountRule(Analyze("src/common/s.cc",
+                              "std::vsnprintf(out, n, fmt, args);"),
+                      "print-in-library"),
+            0);
+}
+
+TEST(PrintRule, ServeLibraryMustNotPrint) {
+  // src/serve/ is library code: diagnostics flow through Status, and only
+  // the tools/rp_serve.cc frontend talks to stderr/stdout.
+  const std::string src = "std::fprintf(stderr, \"bad snapshot\\n\");";
+  EXPECT_EQ(CountRule(Analyze("src/serve/snapshot.cc", src),
+                      "print-in-library"),
+            1);
+  EXPECT_EQ(CountRule(Analyze("tools/rp_serve.cc", src), "print-in-library"),
             0);
 }
 
@@ -255,6 +335,22 @@ TEST(DiscardedStatusRule, HandledCallsAreNotFlagged) {
                       "}\n",
                       {"SaveThing"});
   EXPECT_EQ(CountRule(findings, "discarded-status"), 0);
+}
+
+TEST(DiscardedStatusRule, FlagsNamespaceQualifiedCall) {
+  EXPECT_EQ(CountRule(Analyze("src/x.cc", "void f() { io::Save(p, q); }",
+                              {"Save"}),
+                      "discarded-status"),
+            1);
+}
+
+TEST(DiscardedStatusRule, ReturnedVoidCastAndUnknownCallsAreClean) {
+  for (const char* src : {"return Save(1);", "(void)Save(1);",
+                          "void f() { Other(1); }"}) {
+    EXPECT_EQ(CountRule(Analyze("src/x.cc", src, {"Save"}), "discarded-status"),
+              0)
+        << src;
+  }
 }
 
 TEST(DiscardedStatusRule, RegressionNoFiringInsideStringLiteral) {
@@ -300,6 +396,48 @@ TEST(ParallelForRule, FlagsContainerGrowth) {
   EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 1);
 }
 
+TEST(ParallelForRule, FlagsBlockedAccumulationAndIncrement) {
+  EXPECT_EQ(CountRule(Analyze("src/x.cc",
+                              "ParallelForBlocked(n, 64, [&](int64_t b, "
+                              "int64_t e) {\n"
+                              "  total += Work(b, e);\n"
+                              "});"),
+                      "parallelfor-shared-mutation"),
+            1);
+  EXPECT_EQ(CountRule(Analyze("src/x.cc",
+                              "ParallelFor(n, [&](int i) { ++count; });"),
+                      "parallelfor-shared-mutation"),
+            1);
+}
+
+TEST(ParallelForRule, MiningSweepIdioms) {
+  // The supergraph-mining sweep writes per-kappa slots by index from
+  // ParallelForTasks and picks the arg-max serially after the join.
+  EXPECT_EQ(CountRule(Analyze("src/core/supergraph_miner.cc",
+                              "ParallelForTasks(num_sweep, [&](int i) {\n"
+                              "  rep.kappas[i] = i + 2;\n"
+                              "  mcg[i] = Score(values, i + 2);\n"
+                              "});"),
+                      "parallelfor-shared-mutation"),
+            0);
+  EXPECT_EQ(CountRule(Analyze("src/core/supergraph_miner.cc",
+                              "ParallelForTasks(num_shortlisted, [&](int i) "
+                              "{\n"
+                              "  sweep_status[i] = Cluster(workspace, "
+                              "kappas[i]);\n"
+                              "  evaluated[i] = 1;\n"
+                              "});"),
+                      "parallelfor-shared-mutation"),
+            0);
+  // Accumulating the arg-max inside the parallel region is a race.
+  EXPECT_EQ(CountRule(Analyze("src/core/supergraph_miner.cc",
+                              "ParallelForTasks(num_sweep, [&](int i) {\n"
+                              "  best_mcg += Score(i);\n"
+                              "});"),
+                      "parallelfor-shared-mutation"),
+            1);
+}
+
 TEST(ParallelForRule, PerSlotWritesAreSanctioned) {
   auto findings = Analyze(
       "src/core/a.cc",
@@ -322,6 +460,32 @@ TEST(ParallelForRule, BodyLocalsAndValueCapturesAreSafe) {
       "  ParallelFor(0, n, [seed](size_t i) { int acc = seed; acc += i; });\n"
       "}\n");
   EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 0);
+}
+
+TEST(ParallelForRule, BlockedSlotsLocalContainersAndBlockedSumAreSafe) {
+  for (const char* src :
+       {"ParallelForBlocked(n, 64, [&](int64_t b, int64_t e) {\n"
+        "  for (int64_t i = b; i < e; ++i) sums[i] += x[i];\n"
+        "});",
+        "ParallelForBlocked(n, 64, [&](int64_t b, int64_t e) {\n"
+        "  double acc = 0.0;\n"
+        "  for (int64_t i = b; i < e; ++i) acc += x[i];\n"
+        "  partial[b / 64] = acc;\n"
+        "});",
+        "ParallelFor(n, [&](int i) {\n"
+        "  std::vector<int> local;\n"
+        "  local.push_back(i);\n"
+        "  Consume(i, local);\n"
+        "});",
+        "double s = ParallelBlockedSum(n, 64, [&](int64_t b, int64_t e) {\n"
+        "  double acc = 0.0;\n"
+        "  for (int64_t i = b; i < e; ++i) acc += x[i];\n"
+        "  return acc;\n"
+        "});"}) {
+    EXPECT_EQ(
+        CountRule(Analyze("src/x.cc", src), "parallelfor-shared-mutation"), 0)
+        << src;
+  }
 }
 
 TEST(ParallelForRule, RegressionNoFiringOnMutationInComment) {
@@ -362,6 +526,16 @@ TEST(ParallelForRule, ServeRuntimeSharedStatsMutationIsFlagged) {
       "    stats.served += 1;\n"
       "  });\n"
       "}\n");
+  EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 1);
+}
+
+TEST(ParallelForRule, ServeBatchSharedOutputAppendIsFlagged) {
+  // Appending straight to the shared output inside the region would make
+  // the answer order depend on thread scheduling.
+  auto findings = Analyze("src/serve/serve_loop.cc",
+                          "ParallelForTasks(num_batches, [&](int b) {\n"
+                          "  output += RenderBatch(snapshot, b);\n"
+                          "});");
   EXPECT_EQ(CountRule(findings, "parallelfor-shared-mutation"), 1);
 }
 
@@ -438,12 +612,36 @@ TEST(EigenRule, FlagsEigenvectorUseWithoutConvergenceMention) {
   EXPECT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 1);
 }
 
+TEST(EigenRule, PointerAccessIsFlaggedAtItsLine) {
+  auto findings =
+      Analyze("bench/b.cc", "int x;\nauto y = eig->eigenvectors;\n");
+  ASSERT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 1);
+  EXPECT_EQ(findings[0].line, 2);
+}
+
 TEST(EigenRule, ConvergenceMentionAnywhereInFileSilencesIt) {
   auto findings =
       Analyze("src/core/a.cc", "void f(const EigenResult& r) {\n"
                            "  if (!r.converged) return;\n"
                            "  auto v = r.eigenvectors;\n"
                            "}\n");
+  EXPECT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 0);
+}
+
+TEST(EigenRule, ResidualConsultSilencesIt) {
+  auto findings = Analyze("src/core/x.cc",
+                          "DenseMatrix Use(const EigenResult& eig) {\n"
+                          "  if (eig.max_residual > 1e-6) Abort();\n"
+                          "  return eig.eigenvectors;\n"
+                          "}\n");
+  EXPECT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 0);
+}
+
+TEST(EigenRule, UnrelatedIdentifiersAreNotUses) {
+  // Only member access to the exact field name counts.
+  auto findings = Analyze("src/core/x.cc",
+                          "auto y = ExtremeEigenvectors(op, k, end, options);\n"
+                          "int eigenvectors = 3;\n");
   EXPECT_EQ(CountRule(findings, "unchecked-eigen-convergence"), 0);
 }
 
@@ -477,6 +675,32 @@ TEST(OfstreamRule, TestsAndDurableIoAreExempt) {
   EXPECT_EQ(CountRule(Analyze("src/common/durable_io.cc", src),
                       "raw-ofstream-write"),
             0);
+}
+
+TEST(OfstreamRule, FlagsUnqualifiedOfstream) {
+  EXPECT_EQ(CountRule(Analyze("src/temporal/s.cc", "ofstream out(p);"),
+                      "raw-ofstream-write"),
+            1);
+}
+
+TEST(OfstreamRule, FrontendsDurableReadsAndLookalikesAreClean) {
+  EXPECT_EQ(CountRule(Analyze("src/common/durable_io.cc",
+                              "std::FILE* f = fopen(path.c_str(), \"rb\");"),
+                      "raw-ofstream-write"),
+            0);
+  EXPECT_EQ(CountRule(Analyze("tools/cli.cc", "std::ofstream out(path);"),
+                      "raw-ofstream-write"),
+            0);
+  EXPECT_EQ(CountRule(Analyze("bench/b.cc", "std::ofstream out(path);"),
+                      "raw-ofstream-write"),
+            0);
+  EXPECT_EQ(
+      CountRule(Analyze("src/network/io.cc",
+                        "AtomicFileWriter out(path); "
+                        "RP_RETURN_IF_ERROR(out.Commit());\n"
+                        "int my_ofstream_count = 0;\n"),
+                "raw-ofstream-write"),
+      0);
 }
 
 TEST(OfstreamRule, RegressionNoFiringInsideStringOrSplicedComment) {
@@ -604,6 +828,14 @@ TEST(StatusNamesTest, CollectsStatusAndResultReturningDeclarations) {
           "Result<std::map<int, int>> Nested();\n");
   std::vector<std::string> names = CollectStatusFunctionNames(lexed);
   EXPECT_EQ(names, (std::vector<std::string>{"Load", "Nested", "Save"}));
+}
+
+TEST(StatusNamesTest, IgnoresConstructorsAndMentionsInComments) {
+  LexedSource lexed = Lex(
+      "// Returns Status Save(x) on failure.\n"
+      "class Result;\n"
+      "Result(Status s);\n");
+  EXPECT_TRUE(CollectStatusFunctionNames(lexed).empty());
 }
 
 // ---------------------------------------------------------------------------

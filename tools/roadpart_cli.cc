@@ -216,11 +216,12 @@ int CmdPartition(const FlagParser& flags) {
   options.checkpoint.resume = flags.GetBool("resume", false);
   options.checkpoint.retry = *retry;
   options.checkpoint.crash_after_stage = crash_stage;
+  std::string snapshot_path;
   std::string snapshot_name = flags.GetString("snapshot-out", "");
   if (!snapshot_name.empty()) {
-    auto snapshot_path = ResolveOutput(flags, snapshot_name);
-    if (!snapshot_path.ok()) return Fail(snapshot_path.status());
-    options.snapshot_path = *snapshot_path;
+    auto resolved = ResolveOutput(flags, snapshot_name);
+    if (!resolved.ok()) return Fail(resolved.status());
+    snapshot_path = *resolved;
   }
   auto outcome = Partitioner(options).PartitionNetwork(*net);
   // A failed run (deadline, rejected input, non-convergence under a strict
@@ -228,11 +229,19 @@ int CmdPartition(const FlagParser& flags) {
   // or does not exist. With --checkpoint-dir, completed stages survive for
   // a later --resume.
   if (!outcome.ok()) return Fail(outcome.status());
+  if (!snapshot_path.empty()) {
+    // The serving snapshot is written before the CSV, so a failed export
+    // fails the command instead of leaving a partition without its snapshot.
+    auto snapshot = Snapshot::Build(*net, outcome->assignment);
+    if (!snapshot.ok()) return Fail(snapshot.status());
+    Status saved = snapshot->Save(snapshot_path, *retry);
+    if (!saved.ok()) return Fail(saved);
+  }
 
   Status st = SavePartitionCsv(outcome->assignment, *csv_path, *retry);
   if (!st.ok()) return Fail(st);
-  if (!options.snapshot_path.empty()) {
-    std::printf("wrote serving snapshot %s\n", options.snapshot_path.c_str());
+  if (!snapshot_path.empty()) {
+    std::printf("wrote serving snapshot %s\n", snapshot_path.c_str());
   }
   std::string geojson_name = flags.GetString("geojson", "");
   if (!geojson_name.empty()) {
