@@ -18,8 +18,6 @@ class Timer {
     return std::chrono::duration<double>(now - start_).count();
   }
 
-  double Millis() const { return Seconds() * 1e3; }
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

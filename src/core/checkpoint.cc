@@ -313,31 +313,31 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
 
 // --- Cut checkpoint ---------------------------------------------------------
 
-std::string EncodeCutCheckpoint(const CutCheckpoint& checkpoint) {
+std::string EncodeCutCheckpoint(const GraphCutResult& cut) {
   PayloadWriter out;
-  out.Line("k-final").Int(checkpoint.k_final);
-  out.Line("k-prime").Int(checkpoint.k_prime);
-  out.Line("objective").Double(checkpoint.objective);
-  AppendEigen(out, checkpoint.eigen);
-  out.Line("assignment").IntVec(checkpoint.assignment);
+  out.Line("k-final").Int(cut.k_final);
+  out.Line("k-prime").Int(cut.k_prime);
+  out.Line("objective").Double(cut.objective);
+  AppendEigen(out, cut.eigen);
+  out.Line("assignment").IntVec(cut.assignment);
   return out.Finish();
 }
 
-Result<CutCheckpoint> DecodeCutCheckpoint(std::string_view payload) {
+Result<GraphCutResult> DecodeCutCheckpoint(std::string_view payload) {
   PayloadReader in(payload);
-  CutCheckpoint checkpoint;
+  GraphCutResult cut;
   RP_RETURN_IF_ERROR(in.Line("k-final"));
-  RP_ASSIGN_OR_RETURN(checkpoint.k_final, in.ReadInt());
+  RP_ASSIGN_OR_RETURN(cut.k_final, in.ReadInt());
   RP_RETURN_IF_ERROR(in.Line("k-prime"));
-  RP_ASSIGN_OR_RETURN(checkpoint.k_prime, in.ReadInt());
+  RP_ASSIGN_OR_RETURN(cut.k_prime, in.ReadInt());
   RP_RETURN_IF_ERROR(in.Line("objective"));
-  RP_ASSIGN_OR_RETURN(checkpoint.objective, in.ReadDouble());
-  RP_ASSIGN_OR_RETURN(checkpoint.eigen, ReadEigen(in));
+  RP_ASSIGN_OR_RETURN(cut.objective, in.ReadDouble());
+  RP_ASSIGN_OR_RETURN(cut.eigen, ReadEigen(in));
   RP_RETURN_IF_ERROR(in.Line("assignment"));
-  RP_ASSIGN_OR_RETURN(checkpoint.assignment, in.ReadIntVec());
+  RP_ASSIGN_OR_RETURN(cut.assignment, in.ReadIntVec());
   RP_RETURN_IF_ERROR(in.Finish());
-  RP_RETURN_IF_ERROR(CheckLabels(checkpoint.assignment, checkpoint.k_final));
-  return checkpoint;
+  RP_RETURN_IF_ERROR(CheckLabels(cut.assignment, cut.k_final));
+  return cut;
 }
 
 // --- Final checkpoint -------------------------------------------------------

@@ -140,19 +140,11 @@ struct MiningCheckpoint {
 std::string EncodeMiningCheckpoint(const MiningCheckpoint& checkpoint);
 Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload);
 
-/// Module-3 spectral-cut result, before boundary refinement. For the
-/// supergraph schemes the labels are per supernode; for AG/NG (and the
-/// degenerate fallback) they are per road node.
-struct CutCheckpoint {
-  std::vector<int> assignment;
-  int k_final = 0;
-  int k_prime = 0;
-  double objective = 0.0;
-  EigenSolveDiagnostics eigen;
-};
-
-std::string EncodeCutCheckpoint(const CutCheckpoint& checkpoint);
-Result<CutCheckpoint> DecodeCutCheckpoint(std::string_view payload);
+/// The 'cut' stage stores the module-3 spectral cut as-is, before boundary
+/// refinement. For the supergraph schemes the labels are per supernode; for
+/// AG/NG (and the degenerate fallback) they are per road node.
+std::string EncodeCutCheckpoint(const GraphCutResult& cut);
+Result<GraphCutResult> DecodeCutCheckpoint(std::string_view payload);
 
 /// The finished run: road-level assignment plus everything the outcome
 /// reports about how it was produced. Diagnostics warnings are NOT stored —

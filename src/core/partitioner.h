@@ -2,6 +2,7 @@
 #define ROADPART_CORE_PARTITIONER_H_
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,10 @@ namespace roadpart {
 enum class Scheme { kAG, kASG, kNG, kNSG, kJiGeroliminis };
 
 const char* SchemeName(Scheme scheme);
+
+/// Inverse of SchemeName; also accepts "JIG" for kJiGeroliminis. Any other
+/// name is InvalidArgument.
+Result<Scheme> ParseScheme(std::string_view name);
 
 /// End-to-end framework configuration.
 struct PartitionerOptions {

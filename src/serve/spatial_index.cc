@@ -117,59 +117,6 @@ std::vector<int32_t> BuildKdTree(const double* midpoints_xy, int32_t n) {
   return heap;
 }
 
-NearestHit KdNearestMidpoint(const double* midpoints_xy, const int32_t* heap,
-                             int32_t n, const Point& q) {
-  NearestHit best;
-  if (n <= 0) return best;
-  const double qc[2] = {q.x, q.y};
-  // Recursion emulated with one frame per tree level, so the search never
-  // heap-allocates (this is the serving hot path). Frame `d` remembers the
-  // not-yet-visited far child of the node the current descent passed at
-  // depth `d` (-1 once visited or absent) and the squared distance to that
-  // node's splitting plane; `top` doubles as the depth of `node`, so the
-  // split axis is `top & 1`. Depth is at most 31: counts are capped at
-  // kMaxCount = 2^30 segments and the heap is left-balanced.
-  struct Frame {
-    int32_t far;
-    double axis_d2;  // squared distance from q to the deferring split plane
-  };
-  Frame frames[40];
-  int top = 0;
-  int32_t node = 0;
-  for (;;) {
-    // Descend toward q, deferring far children with their plane distance.
-    while (node < n) {
-      const int32_t seg = heap[node];
-      const int axis = top & 1;
-      const double dx = qc[0] - midpoints_xy[2 * seg];
-      const double dy = qc[1] - midpoints_xy[2 * seg + 1];
-      ConsiderNearest(seg, dx * dx + dy * dy, &best);
-      const double plane = qc[axis] - midpoints_xy[2 * seg + axis];
-      const int32_t near_child = plane < 0.0 ? 2 * node + 1 : 2 * node + 2;
-      const int32_t far_child = plane < 0.0 ? 2 * node + 2 : 2 * node + 1;
-      RP_DCHECK_LT(top, 40);
-      frames[top].far = far_child < n ? far_child : -1;
-      frames[top].axis_d2 = plane * plane;
-      ++top;
-      node = near_child;
-    }
-    // Unwind to the deepest deferred subtree that can still contain a
-    // winner. Ties are kept: a subtree exactly at the best distance may
-    // hold a smaller id.
-    node = n;
-    while (top > 0) {
-      Frame& f = frames[top - 1];
-      if (f.far >= 0 && f.axis_d2 <= best.distance_squared) {
-        node = f.far;   // lives at depth `top`, which is already correct
-        f.far = -1;     // consumed; the frame stays until its level unwinds
-        break;
-      }
-      --top;
-    }
-    if (node >= n) return best;
-  }
-}
-
 NearestHit KdDescendSeed(const double* midpoints_xy, const int32_t* heap,
                          int32_t n, const Point& q) {
   NearestHit best;

@@ -80,9 +80,6 @@ struct SegmentGeometryView {
     const int32_t p = endpoints[2 * s + 1];
     return {points_xy[2 * p], points_xy[2 * p + 1]};
   }
-  Point Midpoint(int32_t s) const {
-    return {midpoints_xy[2 * s], midpoints_xy[2 * s + 1]};
-  }
 };
 
 /// O(n) reference scan over a flat geometry view: ascending segment ids
@@ -107,11 +104,6 @@ Point SegmentMidpoint(const RoadNetwork& network, int s);
 /// x/y by depth; the splitting order is the total order (coordinate, id), so
 /// the tree is unique regardless of duplicate coordinates.
 std::vector<int32_t> BuildKdTree(const double* midpoints_xy, int32_t n);
-
-/// Nearest *midpoint* under the same tie-break rule. Exact (with
-/// backtracking); for midpoint queries and as a robust refinement seed.
-NearestHit KdNearestMidpoint(const double* midpoints_xy, const int32_t* heap,
-                             int32_t n, const Point& q);
 
 /// Greedy root-to-leaf descent toward `q`: visits only the O(log n) nodes
 /// on the descent path (no backtracking) and returns the best midpoint seen.

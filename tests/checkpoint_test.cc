@@ -80,7 +80,7 @@ TEST(CheckpointTest, CanonicalOptionsStringIgnoresPureKnobs) {
 // --- Stage codecs ---
 
 TEST(CheckpointCodecTest, CutRoundTripIsBitExact) {
-  CutCheckpoint cut;
+  GraphCutResult cut;
   cut.assignment = {0, 2, 1, 1, 0, 3};
   cut.k_final = 4;
   cut.k_prime = 5;
@@ -209,8 +209,8 @@ MiningCheckpoint PinnedMining() {
   return mining;
 }
 
-CutCheckpoint PinnedCut() {
-  CutCheckpoint cut;
+GraphCutResult PinnedCut() {
+  GraphCutResult cut;
   cut.assignment = {0, 2, 1, 1, 0, 3};
   cut.k_final = 4;
   cut.k_prime = 5;

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "cluster/kmeans1d.h"
-#include "cluster/kmeans1d_dp.h"
 #include "common/rng.h"
+#include "differential/kmeans1d_dp.h"
 
 namespace roadpart {
 namespace {

@@ -74,17 +74,6 @@ int Usage() {
   return 2;
 }
 
-Result<Scheme> ParseScheme(const std::string& name) {
-  if (name == "AG") return Scheme::kAG;
-  if (name == "ASG") return Scheme::kASG;
-  if (name == "NG") return Scheme::kNG;
-  if (name == "NSG") return Scheme::kNSG;
-  if (name == "JIG" || name == "JiGeroliminis") {
-    return Scheme::kJiGeroliminis;
-  }
-  return Status::InvalidArgument("unknown scheme '" + name + "'");
-}
-
 Result<NonConvergencePolicy> ParseNonConvergencePolicy(
     const std::string& name) {
   if (name == "fail") return NonConvergencePolicy::kFail;

@@ -70,17 +70,6 @@ int Usage() {
   return 2;
 }
 
-Result<Scheme> ParseScheme(const std::string& name) {
-  if (name == "AG") return Scheme::kAG;
-  if (name == "ASG") return Scheme::kASG;
-  if (name == "NG") return Scheme::kNG;
-  if (name == "NSG") return Scheme::kNSG;
-  if (name == "JIG" || name == "JiGeroliminis") {
-    return Scheme::kJiGeroliminis;
-  }
-  return Status::InvalidArgument("unknown scheme '" + name + "'");
-}
-
 int Main(int argc, char** argv) {
   auto flags = FlagParser::Parse(
       argc - 1, argv + 1,
