@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "common/string_util.h"
 #include "roadpart/roadpart.h"
 
 namespace roadpart {
@@ -121,6 +125,66 @@ TEST_F(CliWorkflowTest, SnapshotOutWritesTheLibrarySnapshot) {
   for (const std::string& path : {csv, snap, log, expected_path}) {
     std::remove(path.c_str());
   }
+}
+
+// Runs the CLI with stdout and stderr captured into one string.
+int RunCliCaptured(const std::string& args, const std::string& log,
+                   std::string* output) {
+  const int status = std::system(
+      (std::string(RP_CLI_PATH) + " " + args + " > " + log + " 2>&1")
+          .c_str());
+  std::ostringstream out;
+  out << std::ifstream(log).rdbuf();
+  *output = out.str();
+  return status;
+}
+
+TEST_F(CliWorkflowTest, RefreshIsolatesAPoisonedIntervalUnlessStrict) {
+  // A legacy series (bare CSV rows, no envelope) whose snapshot 1 carries
+  // one NaN density: the region holding that segment rejects its re-cut.
+  auto net = LoadRoadNetwork(net_);
+  ASSERT_TRUE(net.ok());
+  CongestionFieldOptions field_opt;
+  field_opt.num_hotspots = 3;
+  field_opt.seed = 4;
+  CongestionField field(*net, field_opt);
+  const std::string series = dir_ + "/cli_refresh_series.csv";
+  {
+    std::ofstream out(series);
+    for (int t = 0; t < 3; ++t) {
+      const std::vector<double> densities = field.DensitiesAt(0.3 + 0.1 * t);
+      out << StrPrintf("%.3f", 120.0 * t);
+      for (size_t s = 0; s < densities.size(); ++s) {
+        out << (t == 1 && s == 0 ? std::string(",nan")
+                                 : StrPrintf(",%.17g", densities[s]));
+      }
+      out << "\n";
+    }
+  }
+  const std::string log = dir_ + "/cli_refresh.log";
+  const std::string args =
+      "--k=3 --inner-k=2 --trigger-ratio=0 " + net_ + " " + series;
+
+  std::string output;
+  EXPECT_EQ(RunCliCaptured("refresh " + args, log, &output), 0) << output;
+  std::istringstream lines(output);
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(lines, line);) rows.push_back(line);
+  // "initial ..." line, column header, one row per snapshot.
+  ASSERT_EQ(rows.size(), 5u) << output;
+  EXPECT_EQ(rows[2].substr(rows[2].size() - 4), "  ok") << output;
+  EXPECT_EQ(rows[3].substr(rows[3].size() - 18), "  invalid-argument")
+      << output;
+  EXPECT_EQ(rows[4].substr(rows[4].size() - 4), "  ok") << output;
+
+  // --strict fails the command on that interval; no table is printed.
+  const int strict = RunCliCaptured("refresh --strict " + args, log, &output);
+  ASSERT_TRUE(WIFEXITED(strict));
+  EXPECT_EQ(WEXITSTATUS(strict), 1);
+  EXPECT_EQ(output,
+            "error: InvalidArgument: 1 of 3 region re-cuts failed (first: "
+            "invalid-argument)\n");
+  for (const std::string& path : {series, log}) std::remove(path.c_str());
 }
 
 TEST_F(CliWorkflowTest, BadInputsFailCleanly) {
