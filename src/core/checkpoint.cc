@@ -295,14 +295,17 @@ Result<MiningCheckpoint> DecodeMiningCheckpoint(std::string_view payload) {
       neighbors.size() != weights.size()) {
     return Status::Corruption("checkpoint supergraph arrays are inconsistent");
   }
-  // Adopting the raw arrays skips the sort-and-merge pass; the checksum has
-  // already vouched for the bytes, and Supergraph::Create re-validates the
-  // member partition.
-  CsrGraph links = CsrGraph::FromRawParts(link_nodes, std::move(offsets),
-                                          std::move(neighbors),
-                                          std::move(weights));
-  auto supergraph = Supergraph::Create(std::move(supernodes),
-                                       std::move(links), num_road_nodes);
+  // Adopting the raw arrays skips the sort-and-merge pass but not their
+  // validation: a valid checksum only proves the bytes are the ones written.
+  // Supergraph::Create re-validates the member partition.
+  auto links = CsrGraph::FromRawParts(link_nodes, std::move(offsets),
+                                      std::move(neighbors), std::move(weights));
+  if (!links.ok()) {
+    return Status::Corruption("checkpoint supergraph links fail validation: " +
+                              links.status().ToString());
+  }
+  auto supergraph = Supergraph::Create(
+      std::move(supernodes), std::move(links).value(), num_road_nodes);
   if (!supergraph.ok()) {
     return Status::Corruption("checkpoint supergraph fails validation: " +
                               supergraph.status().ToString());

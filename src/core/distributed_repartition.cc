@@ -446,14 +446,4 @@ Result<bool> IncrementalRepartitioner::LoadCache(const std::string& path) {
   return true;
 }
 
-Result<DistributedRepartitionResult> RepartitionWithinRegions(
-    const RoadGraph& road_graph, const std::vector<int>& previous_assignment,
-    const DistributedRepartitionOptions& options) {
-  RP_ASSIGN_OR_RETURN(
-      IncrementalRepartitioner engine,
-      IncrementalRepartitioner::Create(road_graph, previous_assignment,
-                                       options));
-  return engine.Refresh(road_graph.features());
-}
-
 }  // namespace roadpart

@@ -186,16 +186,6 @@ class IncrementalRepartitioner {
   std::vector<std::string> warnings_;
 };
 
-/// One-shot form, kept for Section 6.4 experiments and callers without an
-/// interval loop: equivalent to Create() + a single Refresh() on the graph's
-/// own features. With no cached cuts, `trigger_ratio` acts as an absolute
-/// spread threshold (a region is re-cut when its spread exceeds
-/// trigger_ratio × global scale; <= 0 re-cuts everything), matching the
-/// historical behavior of this entry point.
-Result<DistributedRepartitionResult> RepartitionWithinRegions(
-    const RoadGraph& road_graph, const std::vector<int>& previous_assignment,
-    const DistributedRepartitionOptions& options);
-
 }  // namespace roadpart
 
 #endif  // ROADPART_CORE_DISTRIBUTED_REPARTITION_H_

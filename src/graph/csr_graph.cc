@@ -64,15 +64,16 @@ Result<CsrGraph> CsrGraph::FromEdges(int num_nodes,
   return g;
 }
 
-CsrGraph CsrGraph::FromRawParts(int num_nodes, std::vector<int64_t> offsets,
-                                std::vector<int> neighbors,
-                                std::vector<double> weights) {
+Result<CsrGraph> CsrGraph::FromRawParts(int num_nodes,
+                                        std::vector<int64_t> offsets,
+                                        std::vector<int> neighbors,
+                                        std::vector<double> weights) {
   CsrGraph g;
   g.num_nodes_ = num_nodes;
   g.offsets_ = std::move(offsets);
   g.neighbors_ = std::move(neighbors);
   g.weights_ = std::move(weights);
-  RP_DCHECK_OK(g.Validate());
+  RP_RETURN_IF_ERROR(g.Validate());
   return g;
 }
 

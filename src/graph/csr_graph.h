@@ -27,13 +27,14 @@ class CsrGraph {
   static Result<CsrGraph> FromEdges(int num_nodes,
                                     const std::vector<Edge>& edges);
 
-  /// Adopts pre-built CSR arrays without the sort-and-merge pass. The caller
-  /// promises the Validate() invariants (monotone offsets, sorted in-bounds
-  /// neighbor rows, symmetric adjacency, finite weights); the promise is
-  /// audited with RP_DCHECK in checked builds.
-  static CsrGraph FromRawParts(int num_nodes, std::vector<int64_t> offsets,
-                               std::vector<int> neighbors,
-                               std::vector<double> weights);
+  /// Adopts pre-built CSR arrays without the sort-and-merge pass. The arrays
+  /// are checked against the Validate() invariants (monotone offsets, sorted
+  /// in-bounds neighbor rows, symmetric adjacency, finite weights) in every
+  /// build; the first violation is returned.
+  static Result<CsrGraph> FromRawParts(int num_nodes,
+                                       std::vector<int64_t> offsets,
+                                       std::vector<int> neighbors,
+                                       std::vector<double> weights);
 
   /// Full structural audit of the CSR representation: offset array shape and
   /// monotonicity, strictly-sorted in-bounds neighbor rows, no self-loops,

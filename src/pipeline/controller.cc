@@ -10,7 +10,6 @@
 #include "common/string_util.h"
 #include "core/checkpoint.h"
 #include "core/partition_tracker.h"
-#include "metrics/partition_metrics.h"
 #include "network/density_sanitizer.h"
 #include "serve/snapshot.h"
 
@@ -62,24 +61,17 @@ PipelineFeedStats FeedStats(const PipelineJournal& journal) {
 
 PipelineStats StatsFromJournal(const PipelineJournal& journal,
                                int64_t resumed) {
+  const PipelineFeedStats feed = FeedStats(journal);
   PipelineStats stats;
-  stats.intervals = static_cast<int64_t>(journal.entries.size());
+  stats.intervals = feed.intervals;
+  stats.published = feed.published;
+  stats.degraded = feed.degraded;
+  stats.quarantined = feed.quarantined;
+  stats.staleness = feed.staleness;
   for (const PipelineJournalEntry& e : journal.entries) {
-    switch (e.outcome) {
-      case PipelineIntervalOutcome::kPublished:
-        ++stats.published;
-        break;
-      case PipelineIntervalOutcome::kDegraded:
-        ++stats.degraded;
-        break;
-      case PipelineIntervalOutcome::kQuarantined:
-        ++stats.quarantined;
-        break;
-    }
     stats.retries += e.retries;
   }
   stats.resumed = resumed;
-  stats.staleness = journal.staleness;
   return stats;
 }
 
@@ -293,8 +285,7 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
     // Everything below runs serially; parallelism lives inside Refresh and
     // never touches entry/journal state, so journal bytes are identical for
     // every thread count.
-    std::vector<int> aligned;
-    double measured_ans = 0.0;
+    AdoptedInterval adopted;
     auto quarantine = [&](const std::string& reason) {
       entry.outcome = PipelineIntervalOutcome::kQuarantined;
       entry.reason = reason;
@@ -308,8 +299,8 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
     auto degrade = [&](const std::string& reason) {
       entry.outcome = PipelineIntervalOutcome::kDegraded;
       entry.reason = reason;
-      entry.ans = measured_ans;
-      entry.churn = tracker.last_churn();
+      entry.ans = adopted.ans;
+      entry.churn = adopted.churn;
       result.warnings.push_back(StrPrintf(
           "interval %d degraded (%s); refresh adopted but not published", t,
           reason.c_str()));
@@ -359,33 +350,15 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
       }
       entry.refreshed = true;
 
-      if (refresh->stats.failed > 0) {
-        // Some region's re-cut failed (deadline overrun, rejected input,
-        // strict non-convergence). The engine kept those regions whole, so
-        // the assignment is valid — but the interval must not publish a
-        // partition we know is partially degraded.
-        quarantine(StatusCodeKebab(refresh->stats.first_failure));
+      // Once AdoptInterval succeeds this interval's labels are adopted: the
+      // tracker has advanced even if the gate then withholds publication.
+      auto adoption = AdoptInterval(graph, *densities, *refresh, &tracker);
+      if (!adoption.ok()) {
+        quarantine(StatusCodeKebab(adoption.status().code()));
         return;
       }
-
-      auto ans = AverageNcutSilhouette(graph.adjacency(), *densities,
-                                       refresh->assignment);
-      if (!ans.ok()) {
-        quarantine(StatusCodeKebab(ans.status().code()));
-        return;
-      }
-      measured_ans = *ans;
-
-      // Align LAST among the failable steps: it mutates the tracker, and
-      // once it succeeds this interval's labels are adopted (the tracker
-      // advances even if the gate then withholds publication).
-      auto align = tracker.Align(refresh->assignment);
-      if (!align.ok()) {
-        quarantine(StatusCodeKebab(align.status().code()));
-        return;
-      }
-      aligned = std::move(align).value();
-      journal.tracker_reference = aligned;
+      adopted = std::move(adoption).value();
+      journal.tracker_reference = adopted.assignment;
       journal.tracker_next_id = tracker.num_regions_seen();
 
       // --- Publication gate ---
@@ -395,19 +368,19 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
       }
       const bool have_baseline = journal.last_published_path != "-";
       if (have_baseline &&
-          measured_ans > journal.last_published_ans + options.ans_margin) {
+          adopted.ans > journal.last_published_ans + options.ans_margin) {
         degrade("ans-regression");
         return;
       }
       if (options.churn_ceiling > 0.0 &&
-          tracker.last_churn() > options.churn_ceiling) {
+          adopted.churn > options.churn_ceiling) {
         degrade("churn-ceiling");
         return;
       }
 
       // --- Publish ---
       const std::string snap_path = SnapshotPath(options.state_dir, t);
-      auto snapshot = Snapshot::Build(network, aligned);
+      auto snapshot = Snapshot::Build(network, adopted.assignment);
       Status publish = snapshot.ok() ? snapshot->Save(snap_path, options.retry)
                                      : snapshot.status();
       if (!publish.ok()) {
@@ -418,11 +391,11 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
       }
       entry.outcome = PipelineIntervalOutcome::kPublished;
       entry.reason = "none";
-      entry.ans = measured_ans;
-      entry.churn = tracker.last_churn();
+      entry.ans = adopted.ans;
+      entry.churn = adopted.churn;
       entry.snapshot_path = snap_path;
       journal.last_published_path = snap_path;
-      journal.last_published_ans = measured_ans;
+      journal.last_published_ans = adopted.ans;
 
       if (options.serve != nullptr) {
         const Status reload = options.serve->LoadSnapshot(snap_path);

@@ -61,9 +61,7 @@ struct PipelineOptions {
   /// The interval engine's configuration: `initial` cuts the frozen
   /// top-level regions at snapshot 0, `refresh` configures every
   /// incremental re-cut (inner partitioner — including deadline_seconds and
-  /// density_policy — dirty triggers, warm starts, fan-out threads). The
-  /// driver's `strict` flag is ignored: the pipeline IS the non-strict
-  /// policy, with its own quarantine machinery.
+  /// density_policy — dirty triggers, warm starts, fan-out threads).
   IntervalDriverOptions driver;
 
   /// Directory owning all durable state: `journal.rpj`, `cache.rpinc` and

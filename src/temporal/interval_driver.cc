@@ -10,6 +10,25 @@
 
 namespace roadpart {
 
+Result<AdoptedInterval> AdoptInterval(
+    const RoadGraph& graph, const std::vector<double>& densities,
+    const DistributedRepartitionResult& refresh, PartitionTracker* tracker) {
+  const RepartitionRefreshStats& stats = refresh.stats;
+  if (stats.failed > 0) {
+    return Status::WithCode(
+        stats.first_failure,
+        StrPrintf("%d of %d region re-cuts failed (first: %s)", stats.failed,
+                  stats.regions, StatusCodeKebab(stats.first_failure)));
+  }
+  AdoptedInterval adopted;
+  RP_ASSIGN_OR_RETURN(adopted.ans,
+                      AverageNcutSilhouette(graph.adjacency(), densities,
+                                            refresh.assignment));
+  RP_ASSIGN_OR_RETURN(adopted.assignment, tracker->Align(refresh.assignment));
+  adopted.churn = tracker->last_churn();
+  return adopted;
+}
+
 Result<IntervalDriveResult> DriveIntervals(
     const RoadGraph& road_graph, const SnapshotSeries& series,
     const IntervalDriverOptions& options) {
@@ -39,79 +58,45 @@ Result<IntervalDriveResult> DriveIntervals(
                                                        options.refresh));
 
   PartitionTracker tracker;
-  // The fallback a failed interval repeats: before any good interval, the
-  // frozen top-level regions (the only adopted assignment so far).
-  std::vector<int> last_good = result.regions;
-  int last_good_k = result.k_top;
-  double last_good_ans = 0.0;
-
   result.steps.reserve(series.num_snapshots());
   for (int t = 0; t < series.num_snapshots(); ++t) {
     const std::vector<double>& densities = series.densities(t);
     IntervalStep step;
     step.timestamp_seconds = series.timestamp(t);
 
-    // Per-interval isolation: any failure below either aborts the series
-    // (strict) or closes this step with the typed code and the last good
-    // state carried forward. The tracker only advances on adopted steps;
-    // the engine's incremental cache evolves on every successful Refresh,
-    // which keeps later intervals identical to a run without the failure.
-    auto isolate = [&](const Status& status) -> Status {
-      if (options.strict) return status;
-      step.error_code = status.code();
-      step.error_message = std::string(status.message());
-      step.assignment = last_good;
-      step.k_final = last_good_k;
-      step.ans = last_good_ans;
-      step.churn = 0.0;
-      return Status::OK();
-    };
-
     auto refresh = engine.Refresh(densities);
-    if (!refresh.ok()) {
-      RP_RETURN_IF_ERROR(isolate(refresh.status()));
-      result.steps.push_back(std::move(step));
-      continue;
+    Result<AdoptedInterval> adopted =
+        refresh.ok()
+            ? AdoptInterval(graph, densities, *refresh, &tracker)
+            : Result<AdoptedInterval>(refresh.status());
+    if (refresh.ok()) {
+      step.k_final = refresh->k_final;
+      step.seconds = refresh->seconds;
+      step.stats = std::move(refresh->stats);
     }
-    step.k_final = refresh->k_final;
-    step.seconds = refresh->seconds;
-    step.stats = std::move(refresh->stats);
-    if (step.stats.failed > 0) {
-      // Some region's re-cut failed (deadline overrun, rejected densities,
-      // strict non-convergence) and was kept whole. The merged assignment is
-      // valid, but adopting a partition known to be partially degraded would
-      // hide the failure — record it and keep the last good one instead.
-      RP_RETURN_IF_ERROR(isolate(Status::WithCode(
-          step.stats.first_failure,
-          StrPrintf("%d of %d region re-cuts failed (first: %s)",
-                    step.stats.failed, step.stats.regions,
-                    StatusCodeKebab(step.stats.first_failure)))));
-      result.steps.push_back(std::move(step));
-      continue;
+    if (adopted.ok()) {
+      step.assignment = std::move(adopted->assignment);
+      step.ans = adopted->ans;
+      step.churn = adopted->churn;
+    } else {
+      // Per-interval isolation: record the typed code and repeat the last
+      // good state — the previous step's, which a failed step repeats in
+      // turn, or the frozen regions before any step. The tracker has not
+      // moved; the engine's incremental cache evolves on every successful
+      // Refresh, which keeps later intervals identical to a run without
+      // the failure.
+      step.error_code = adopted.status().code();
+      step.error_message = std::string(adopted.status().message());
+      if (result.steps.empty()) {
+        step.assignment = result.regions;
+        step.k_final = result.k_top;
+      } else {
+        const IntervalStep& last_good = result.steps.back();
+        step.assignment = last_good.assignment;
+        step.k_final = last_good.k_final;
+        step.ans = last_good.ans;
+      }
     }
-
-    // Metric before alignment: Align mutates the tracker reference, so it
-    // must be the LAST failable operation — once it succeeds the step is
-    // adopted, and a step that failed earlier left the tracker untouched.
-    auto ans = AverageNcutSilhouette(graph.adjacency(), densities,
-                                     refresh->assignment);
-    if (!ans.ok()) {
-      RP_RETURN_IF_ERROR(isolate(ans.status()));
-      result.steps.push_back(std::move(step));
-      continue;
-    }
-    auto aligned = tracker.Align(refresh->assignment);
-    if (!aligned.ok()) {
-      RP_RETURN_IF_ERROR(isolate(aligned.status()));
-      result.steps.push_back(std::move(step));
-      continue;
-    }
-    step.assignment = std::move(aligned).value();
-    step.churn = tracker.last_churn();
-    step.ans = *ans;
-    last_good = step.assignment;
-    last_good_k = step.k_final;
-    last_good_ans = step.ans;
     result.steps.push_back(std::move(step));
   }
   return result;

@@ -18,6 +18,7 @@
 
 #include "common/status.h"
 #include "core/distributed_repartition.h"
+#include "core/partition_tracker.h"
 #include "core/partitioner.h"
 #include "network/road_graph.h"
 #include "temporal/snapshot_series.h"
@@ -32,13 +33,6 @@ struct IntervalDriverOptions {
   /// Per-interval refresh configuration (inner partitioner, dirty triggers,
   /// warm start, fan-out threads).
   DistributedRepartitionOptions refresh;
-  /// Failure policy for a single interval's error — a failed refresh, a
-  /// region re-cut that failed and was kept whole (deadline overrun,
-  /// rejected densities), a failed align or metric. The default (false)
-  /// isolates the failure: the step records the typed code, carries the
-  /// last good assignment forward, and the series continues. true restores
-  /// the historical abort-on-first-error behavior.
-  bool strict = false;
 };
 
 /// One interval's outcome.
@@ -50,13 +44,13 @@ struct IntervalStep {
   double churn = 0.0;    ///< fraction of segments changing label vs previous
   double seconds = 0.0;  ///< wall time of this interval's refresh
   RepartitionRefreshStats stats;  ///< dirty/clean/warm counters, phases
-  /// kOk for a healthy interval. Under the resilient (non-strict) policy a
-  /// failed refresh, failed region re-cut, align or metric error sets the
-  /// typed code here (the first failed region's code for kept-whole
-  /// regions — see RegionRefreshInfo::failure); `assignment`,
-  /// `k_final` and `ans` repeat the last good interval's values (the frozen
-  /// regions before any good interval), and `churn` is 0 — nothing moved,
-  /// because nothing was adopted.
+  /// kOk for a healthy interval. A failed refresh, failed region re-cut,
+  /// align or metric error sets the typed code here (the first failed
+  /// region's code for kept-whole regions — see
+  /// RegionRefreshInfo::failure); `assignment`, `k_final` and `ans` repeat
+  /// the last good interval's values (the frozen regions before any good
+  /// interval), and `churn` is 0 — nothing moved, because nothing was
+  /// adopted.
   StatusCode error_code = StatusCode::kOk;
   std::string error_message;  ///< empty when error_code == kOk
 
@@ -74,18 +68,37 @@ struct IntervalDriveResult {
   std::vector<IntervalStep> steps;
 };
 
+/// What adopting one interval yields.
+struct AdoptedInterval {
+  std::vector<int> assignment;  ///< tracked (stable) sub-partition ids
+  double ans = 0.0;             ///< quality of the refreshed partition
+  double churn = 0.0;           ///< fraction relabelled vs the tracker
+};
+
+/// The one interval-adoption step of the Section 6.4 loop, shared by
+/// DriveIntervals and the pipeline (pipeline/controller.h). Takes a
+/// successful refresh over `densities` and:
+///  1. refuses it when any region re-cut failed (those regions were kept
+///     whole, so the merged partition is valid but known degraded), with
+///     the first failed region's code;
+///  2. measures its ANS over `graph`'s adjacency and `densities`;
+///  3. aligns its labels with `tracker`.
+/// Align goes last because it advances the tracker: once it succeeds the
+/// interval is adopted, and any error returned leaves `tracker` untouched.
+Result<AdoptedInterval> AdoptInterval(
+    const RoadGraph& graph, const std::vector<double>& densities,
+    const DistributedRepartitionResult& refresh, PartitionTracker* tracker);
+
 /// Runs the incremental interval loop over `series`: full partition at
-/// snapshot 0 (regions), engine refresh at every snapshot, label tracking
-/// and ANS per interval. Deterministic for a fixed configuration — thread
-/// counts change wall times only, never any assignment byte.
+/// snapshot 0 (regions), engine refresh at every snapshot, then
+/// AdoptInterval. Deterministic for a fixed configuration — thread counts
+/// change wall times only, never any assignment byte.
 ///
-/// Failure containment: with `options.strict` false (the default) an
-/// interval whose refresh, label alignment, or quality metric fails is
+/// Failure containment: an interval whose refresh or adoption fails is
 /// RECORDED, not fatal — its IntervalStep carries the typed error and the
 /// last good assignment, and later intervals proceed against the engine
 /// unchanged. Only the snapshot-0 full partition and engine construction
-/// remain fatal (there is no last good state to fall back to). With
-/// `strict` true any error aborts the series (the historical behavior).
+/// are fatal (there is no last good state to fall back to).
 Result<IntervalDriveResult> DriveIntervals(const RoadGraph& road_graph,
                                            const SnapshotSeries& series,
                                            const IntervalDriverOptions& options);

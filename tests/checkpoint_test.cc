@@ -335,6 +335,11 @@ TEST(CheckpointCodecTest, MalformedPayloadsBehindValidEnvelopeAreCorruption) {
       {CheckpointStage::kCut, Edited(cut, " 0 3\n", " 0 4\n")},
       {CheckpointStage::kFinal, Edited(fin, "4 1 0 0 2", "4 1 0 -1 2")},
       {CheckpointStage::kMining, Edited(mining, " 2 0 2\n", " 2 0 7\n")},
+      // Supergraph link arrays that break the CSR invariants.
+      {CheckpointStage::kMining,
+       Edited(mining, "neighbors 2 1 0", "neighbors 2 7 0")},
+      {CheckpointStage::kMining,
+       Edited(mining, "offsets 3 0 1 2", "offsets 3 0 2 1")},
   };
   for (const Case& c : cases) {
     EXPECT_EQ(DecodeStored(c.stage, c.payload), StatusCode::kCorruption)

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -75,48 +77,58 @@ TEST(CsrGraphValidate, HealthyGraphPasses) {
 
 TEST(CsrGraphValidate, RawPartsRoundTripPasses) {
   CsrGraph g = Path3();
-  CsrGraph raw = CsrGraph::FromRawParts(g.num_nodes(), g.offsets(),
-                                        g.neighbors(), g.weights());
-  EXPECT_TRUE(raw.Validate().ok());
-  EXPECT_EQ(raw.num_edges(), g.num_edges());
+  auto raw = CsrGraph::FromRawParts(g.num_nodes(), g.offsets(), g.neighbors(),
+                                    g.weights());
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  EXPECT_TRUE(raw->Validate().ok());
+  EXPECT_EQ(raw->num_edges(), g.num_edges());
 }
 
-#if RP_DCHECK_ENABLED
+// FromRawParts validates in every build: the first violation comes back as
+// a status instead of an adopted graph.
+std::string RawPartsError(int num_nodes, std::vector<int64_t> offsets,
+                          std::vector<int> neighbors,
+                          std::vector<double> weights) {
+  auto g = CsrGraph::FromRawParts(num_nodes, std::move(offsets),
+                                  std::move(neighbors), std::move(weights));
+  return g.ok() ? "adopted" : g.status().ToString();
+}
 
-TEST(CsrGraphValidateDeath, AsymmetricAdjacency) {
+TEST(CsrGraphRawParts, AsymmetricAdjacency) {
   // Arc 0->1 with no reverse: breaks the undirected-dual-graph contract.
-  EXPECT_DEATH(CsrGraph::FromRawParts(2, {0, 1, 1}, {1}, {1.0}),
-               "asymmetric adjacency");
+  EXPECT_NE(RawPartsError(2, {0, 1, 1}, {1}, {1.0}).find(
+                "asymmetric adjacency"),
+            std::string::npos);
 }
 
-TEST(CsrGraphValidateDeath, UnsortedNeighbors) {
-  EXPECT_DEATH(CsrGraph::FromRawParts(3, {0, 2, 3, 4}, {2, 1, 0, 0},
-                                      {1.0, 1.0, 1.0, 1.0}),
-               "not strictly sorted");
+TEST(CsrGraphRawParts, UnsortedNeighbors) {
+  EXPECT_NE(RawPartsError(3, {0, 2, 3, 4}, {2, 1, 0, 0}, {1.0, 1.0, 1.0, 1.0})
+                .find("not strictly sorted"),
+            std::string::npos);
 }
 
-TEST(CsrGraphValidateDeath, NeighborOutOfRange) {
-  EXPECT_DEATH(CsrGraph::FromRawParts(2, {0, 1, 2}, {5, 0}, {1.0, 1.0}),
-               "out of range");
+TEST(CsrGraphRawParts, NeighborOutOfRange) {
+  EXPECT_NE(
+      RawPartsError(2, {0, 1, 2}, {5, 0}, {1.0, 1.0}).find("out of range"),
+      std::string::npos);
 }
 
-TEST(CsrGraphValidateDeath, SelfLoop) {
-  EXPECT_DEATH(CsrGraph::FromRawParts(2, {0, 1, 1}, {0}, {1.0}),
-               "self-loop");
+TEST(CsrGraphRawParts, SelfLoop) {
+  EXPECT_NE(RawPartsError(2, {0, 1, 1}, {0}, {1.0}).find("self-loop"),
+            std::string::npos);
 }
 
-TEST(CsrGraphValidateDeath, NonFiniteWeight) {
+TEST(CsrGraphRawParts, NonFiniteWeight) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_DEATH(CsrGraph::FromRawParts(2, {0, 1, 2}, {1, 0}, {nan, nan}),
-               "non-finite weight");
+  EXPECT_NE(RawPartsError(2, {0, 1, 2}, {1, 0}, {nan, nan}).find(
+                "non-finite weight"),
+            std::string::npos);
 }
 
-TEST(CsrGraphValidateDeath, NonMonotoneOffsets) {
-  EXPECT_DEATH(CsrGraph::FromRawParts(2, {0, 2, 1}, {1}, {1.0}),
-               "offsets");
+TEST(CsrGraphRawParts, NonMonotoneOffsets) {
+  EXPECT_NE(RawPartsError(2, {0, 2, 1}, {1}, {1.0}).find("offsets"),
+            std::string::npos);
 }
-
-#endif  // RP_DCHECK_ENABLED
 
 // --- SparseMatrix::Validate --------------------------------------------------
 

@@ -51,7 +51,9 @@ TEST(DistributedRepartitionTest, SplitsEveryRegion) {
   options.partitioner.scheme = Scheme::kAG;
   options.partitioner.k = 2;
   options.partitioner.seed = 9;
-  auto result = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto result = engine->Refresh(s.graph.features());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // 3 regions x 2 sub-partitions (regions can fall back to staying whole).
   EXPECT_GE(result->k_final, 3);
@@ -69,7 +71,9 @@ TEST(DistributedRepartitionTest, SubPartitionsNestInsideRegions) {
   options.partitioner.scheme = Scheme::kAG;
   options.partitioner.k = 2;
   options.partitioner.seed = 11;
-  auto result = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto result = engine->Refresh(s.graph.features());
   ASSERT_TRUE(result.ok());
   // A refreshed label never spans two old regions.
   std::vector<int> owner(result->k_final, -1);
@@ -87,7 +91,9 @@ TEST(DistributedRepartitionTest, KOneKeepsRegions) {
   Fixture s = MakeSetup(7);
   DistributedRepartitionOptions options;
   options.partitioner.k = 1;
-  auto result = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto result = engine->Refresh(s.graph.features());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->k_final, 3);
   EXPECT_EQ(result->regions_repartitioned, 0);
@@ -99,7 +105,9 @@ TEST(DistributedRepartitionTest, TriggerSkipsUniformRegions) {
   options.partitioner.scheme = Scheme::kAG;
   options.partitioner.k = 2;
   options.trigger_ratio = 100.0;  // nothing is THAT spread out
-  auto result = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto result = engine->Refresh(s.graph.features());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->regions_repartitioned, 0);
   EXPECT_EQ(result->k_final, 3);
@@ -108,12 +116,14 @@ TEST(DistributedRepartitionTest, TriggerSkipsUniformRegions) {
 TEST(DistributedRepartitionTest, Validation) {
   Fixture s = MakeSetup(9);
   DistributedRepartitionOptions options;
-  EXPECT_FALSE(RepartitionWithinRegions(s.graph, {0, 1}, options).ok());
+  EXPECT_FALSE(IncrementalRepartitioner::Create(s.graph, {0, 1}, options).ok());
   std::vector<int> negative = s.initial;
   negative[0] = -1;
-  EXPECT_FALSE(RepartitionWithinRegions(s.graph, negative, options).ok());
+  EXPECT_FALSE(
+      IncrementalRepartitioner::Create(s.graph, negative, options).ok());
   options.partitioner.k = 0;
-  EXPECT_FALSE(RepartitionWithinRegions(s.graph, s.initial, options).ok());
+  EXPECT_FALSE(
+      IncrementalRepartitioner::Create(s.graph, s.initial, options).ok());
 }
 
 TEST(DistributedRepartitionTest, FasterThanGlobalRepartitioning) {
@@ -124,7 +134,9 @@ TEST(DistributedRepartitionTest, FasterThanGlobalRepartitioning) {
   options.partitioner.scheme = Scheme::kAG;
   options.partitioner.k = 2;
   options.partitioner.seed = 3;
-  auto local = RepartitionWithinRegions(s.graph, s.initial, options);
+  auto engine = IncrementalRepartitioner::Create(s.graph, s.initial, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  auto local = engine->Refresh(s.graph.features());
   ASSERT_TRUE(local.ok());
 
   PartitionerOptions global;

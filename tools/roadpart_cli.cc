@@ -447,10 +447,16 @@ int CmdRefresh(const FlagParser& flags) {
   options.refresh.warm_start_embeddings =
       !flags.GetBool("no-warm-start", false);
   options.refresh.num_threads = DefaultParallelism();  // --threads
-  options.strict = flags.GetBool("strict", false);
 
   auto result = DriveIntervals(rg, *series, options);
   if (!result.ok()) return Fail(result.status());
+  if (flags.GetBool("strict", false)) {  // the first failed interval fails
+    for (const IntervalStep& step : result->steps) {
+      if (!step.ok()) {
+        return Fail(Status::WithCode(step.error_code, step.error_message));
+      }
+    }
+  }
 
   std::printf("initial %s k=%d: %d regions in %.3fs\n",
               SchemeName(*scheme), static_cast<int>(*k), result->k_top,
