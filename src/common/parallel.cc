@@ -53,30 +53,7 @@ ScopedParallelism::~ScopedParallelism() {
 
 void ParallelFor(int count, const std::function<void(int)>& fn,
                  int num_threads) {
-  if (count <= 0) return;
-  if (num_threads <= 0) num_threads = DefaultParallelism();
-  num_threads = std::min(num_threads, count);
-  if (num_threads <= 1 || count == 1) {
-    for (int i = 0; i < count; ++i) fn(i);
-    return;
-  }
-
-  std::atomic<int> next{0};
-  auto worker = [&]() {
-    // Nested-oversubscription cap: fn already runs on `num_threads` workers,
-    // so parallel helpers it calls with num_threads = 0 run inline here.
-    ScopedParallelism nested_cap(1);
-    for (;;) {
-      int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      fn(i);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_threads) - 1);
-  for (int t = 1; t < num_threads; ++t) threads.emplace_back(worker);
-  worker();  // this thread participates
-  for (std::thread& t : threads) t.join();
+  ParallelFor(count, fn, num_threads, /*grain=*/1);
 }
 
 void ParallelFor(int count, const std::function<void(int)>& fn,
@@ -114,7 +91,8 @@ void ParallelForBlocked(int64_t count, int64_t grain,
 
   std::atomic<int64_t> next{0};
   auto worker = [&]() {
-    // Same nested-oversubscription cap as the index-based ParallelFor.
+    // Nested-oversubscription cap: fn already runs on `num_threads` workers,
+    // so parallel helpers it calls with num_threads = 0 run inline here.
     ScopedParallelism nested_cap(1);
     for (;;) {
       int64_t b = next.fetch_add(1, std::memory_order_relaxed);

@@ -363,6 +363,43 @@ Status ValidatePartitionLabels(const std::vector<int>& assignment,
   return Status::OK();
 }
 
+PartitionSums PartitionSums::Of(const CsrGraph& graph,
+                                const std::vector<int>& assignment) {
+  RP_CHECK_EQ(static_cast<int>(assignment.size()), graph.num_nodes());
+  PartitionSums sums;
+  for (int a : assignment) sums.k = std::max(sums.k, a + 1);
+  // A negative label would index out of bounds below; sparse (empty) labels
+  // are tolerated because every PartitionTerm scores an empty partition 0.
+  RP_DCHECK_OK(ValidatePartitionLabels(assignment, graph.num_nodes(), sums.k,
+                                       /*require_all_labels_used=*/false));
+  sums.volume.assign(sums.k, 0.0);
+  sums.internal.assign(sums.k, 0.0);
+  sums.size.assign(sums.k, 0);
+  for (int u = 0; u < graph.num_nodes(); ++u) {
+    int p = assignment[u];
+    sums.size[p]++;
+    auto nbrs = graph.Neighbors(u);
+    auto wts = graph.NeighborWeights(u);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      sums.volume[p] += wts[i];
+      sums.total += wts[i];
+      if (assignment[nbrs[i]] == p) sums.internal[p] += wts[i];
+    }
+  }
+  return sums;
+}
+
+double SpectralCutMethod::Objective(const CsrGraph& graph,
+                                    const std::vector<int>& assignment) const {
+  PartitionSums sums = PartitionSums::Of(graph, assignment);
+  double value = 0.0;
+  for (int p = 0; p < sums.k; ++p) {
+    value += PartitionTerm(sums.volume[p], sums.internal[p], sums.size[p],
+                           sums.total);
+  }
+  return value;
+}
+
 int DensifyAssignment(std::vector<int>& assignment) {
   std::map<int, int> remap;
   for (int& a : assignment) {
@@ -466,21 +503,7 @@ Result<GraphCutResult> SpectralKWayPartition(
     // adjacent partitions whose merge lowers the cut objective the most
     // (equivalently, raises it the least). Per-partition sums make each
     // candidate evaluation O(1).
-    std::vector<double> volume(k_prime, 0.0);
-    std::vector<double> internal(k_prime, 0.0);
-    std::vector<int> size(k_prime, 0);
-    double total = 0.0;
-    for (int u = 0; u < n; ++u) {
-      int p = partition[u];
-      size[p]++;
-      auto nbrs = graph.Neighbors(u);
-      auto wts = graph.NeighborWeights(u);
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        volume[p] += wts[i];
-        total += wts[i];
-        if (partition[nbrs[i]] == p) internal[p] += wts[i];
-      }
-    }
+    PartitionSums sums = PartitionSums::Of(graph, partition);
     // Ordered-pair cross weights between partitions.
     std::map<std::pair<int, int>, double> cross;
     for (int u = 0; u < n; ++u) {
@@ -489,7 +512,7 @@ Result<GraphCutResult> SpectralKWayPartition(
       for (size_t i = 0; i < nbrs.size(); ++i) {
         int p = partition[u];
         int q = partition[nbrs[i]];
-        if (p < q) cross[{p, q}] += wts[i];  // counts each edge once (u<v or v<u covered twice; p<q once per direction)
+        if (p < q) cross[{p, q}] += wts[i];  // one direction per edge
       }
     }
     std::vector<char> alive(k_prime, 1);
@@ -502,13 +525,14 @@ Result<GraphCutResult> SpectralKWayPartition(
         auto [p, q] = pq;
         if (!alive[p] || !alive[q] || w <= 0.0) continue;
         double merged_term = method.PartitionTerm(
-            volume[p] + volume[q], internal[p] + internal[q] + 2.0 * w,
-            size[p] + size[q], total);
+            sums.volume[p] + sums.volume[q],
+            sums.internal[p] + sums.internal[q] + 2.0 * w,
+            sums.size[p] + sums.size[q], sums.total);
         double delta = merged_term -
-                       method.PartitionTerm(volume[p], internal[p], size[p],
-                                            total) -
-                       method.PartitionTerm(volume[q], internal[q], size[q],
-                                            total);
+                       method.PartitionTerm(sums.volume[p], sums.internal[p],
+                                            sums.size[p], sums.total) -
+                       method.PartitionTerm(sums.volume[q], sums.internal[q],
+                                            sums.size[q], sums.total);
         if (!found || delta < best_delta) {
           best_delta = delta;
           best_pair = pq;
@@ -518,9 +542,9 @@ Result<GraphCutResult> SpectralKWayPartition(
       if (!found) break;  // no adjacent pairs left
       auto [p, q] = best_pair;
       // Merge q into p.
-      volume[p] += volume[q];
-      internal[p] += internal[q] + 2.0 * cross[best_pair];
-      size[p] += size[q];
+      sums.volume[p] += sums.volume[q];
+      sums.internal[p] += sums.internal[q] + 2.0 * cross[best_pair];
+      sums.size[p] += sums.size[q];
       alive[q] = 0;
       // Redirect q's cross weights to p.
       std::map<std::pair<int, int>, double> updates;

@@ -108,6 +108,23 @@ struct GraphCutResult {
   EigenSolveDiagnostics eigen;  ///< solver-ladder diagnostics, all embeds
 };
 
+/// Per-partition sums every module-3 objective is built from: node count,
+/// volume (sum of member weighted degrees) and the ordered-pair internal
+/// weight sum_{p,q in P} A(p,q), plus the graph's total ordered weight.
+/// Empty labels below k are allowed (their sums stay zero).
+struct PartitionSums {
+  std::vector<double> volume;
+  std::vector<double> internal;  ///< each intra edge counted twice
+  std::vector<int> size;
+  double total = 0.0;  ///< s = 1^T d = 2 * total edge weight
+  int k = 0;           ///< 1 + the largest label
+
+  /// One pass over the graph's adjacency in node order. `assignment` must
+  /// have one non-negative label per node.
+  static PartitionSums Of(const CsrGraph& graph,
+                          const std::vector<int>& assignment);
+};
+
 /// A spectral k-way cut method is defined by its embedding.
 class SpectralCutMethod {
  public:
@@ -125,9 +142,11 @@ class SpectralCutMethod {
   /// (row-normalized; one row per node).
   virtual Result<DenseMatrix> Embed(const CsrGraph& graph, int k) const = 0;
 
-  /// Objective value of an assignment (smaller = better).
+  /// Objective value of an assignment (smaller = better): the sum of
+  /// PartitionTerm over the partitions of PartitionSums::Of(graph,
+  /// assignment), in label order.
   virtual double Objective(const CsrGraph& graph,
-                           const std::vector<int>& assignment) const = 0;
+                           const std::vector<int>& assignment) const;
 
   /// One partition's contribution to the objective, given its weighted
   /// volume (sum of member degrees), its ordered-pair internal weight

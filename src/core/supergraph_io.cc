@@ -70,19 +70,24 @@ Result<Supergraph> LoadSupergraph(const std::string& path,
     }
   }
 
-  std::vector<Supernode> supernodes(num_supernodes);
+  // Header counts are untrusted: vectors grow only as lines and fields
+  // actually parse, so an absurd count ends in a typed error, not an
+  // allocation failure.
+  std::vector<Supernode> supernodes;
   for (int s = 0; s < num_supernodes; ++s) {
     if (!next_line(line)) return Status::IOError("truncated supernodes");
     std::istringstream ss(line);
+    Supernode& sn = supernodes.emplace_back();
     size_t count = 0;
-    if (!(ss >> supernodes[s].feature >> count)) {
+    if (!(ss >> sn.feature >> count)) {
       return Status::IOError(StrPrintf("bad supernode line %d", s));
     }
-    supernodes[s].members.resize(count);
     for (size_t i = 0; i < count; ++i) {
-      if (!(ss >> supernodes[s].members[i])) {
+      int member = 0;
+      if (!(ss >> member)) {
         return Status::IOError(StrPrintf("bad member list on supernode %d", s));
       }
+      sn.members.push_back(member);
     }
   }
 
@@ -94,11 +99,12 @@ Result<Supergraph> LoadSupergraph(const std::string& path,
       return Status::IOError("malformed link header");
     }
   }
-  std::vector<Edge> links(num_links);
+  std::vector<Edge> links;
   for (int64_t i = 0; i < num_links; ++i) {
     if (!next_line(line)) return Status::IOError("truncated links");
     std::istringstream ss(line);
-    if (!(ss >> links[i].u >> links[i].v >> links[i].weight)) {
+    Edge& link = links.emplace_back();
+    if (!(ss >> link.u >> link.v >> link.weight)) {
       return Status::IOError(
           StrPrintf("bad link line %lld", static_cast<long long>(i)));
     }

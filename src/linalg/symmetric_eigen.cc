@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.h"
@@ -101,7 +102,12 @@ Status Tql2(std::vector<double>& d, std::vector<double>& e, DenseMatrix& z) {
     do {
       for (m = l; m < n - 1; ++m) {
         double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
-        if (std::fabs(e[m]) <= 1e-15 * dd) break;
+        // The relative test underflows to 0 when d and e are subnormal, so
+        // a subnormal coupling deflates on its own.
+        if (std::fabs(e[m]) <= 1e-15 * dd ||
+            std::fabs(e[m]) < std::numeric_limits<double>::min()) {
+          break;
+        }
       }
       if (m != l) {
         if (iter++ == 128) {

@@ -59,11 +59,14 @@ Result<RoadNetwork> LoadRoadNetwork(const std::string& path,
   if (tag != 'I' || ni < 0) {
     return Status::IOError("malformed intersection header in " + path);
   }
-  std::vector<Intersection> intersections(ni);
+  // Header counts are untrusted: vectors grow only as lines actually parse,
+  // so an absurd count ends in a typed error, not an allocation failure.
+  std::vector<Intersection> intersections;
   for (int i = 0; i < ni; ++i) {
     if (!next_line(line)) return Status::IOError("truncated intersections");
     std::istringstream ss(line);
-    if (!(ss >> intersections[i].position.x >> intersections[i].position.y)) {
+    Intersection& node = intersections.emplace_back();
+    if (!(ss >> node.position.x >> node.position.y)) {
       return Status::IOError(StrPrintf("bad intersection line %d", i));
     }
   }
@@ -75,12 +78,12 @@ Result<RoadNetwork> LoadRoadNetwork(const std::string& path,
   if (tag != 'S' || ns < 0) {
     return Status::IOError("malformed segment header in " + path);
   }
-  std::vector<RoadSegment> segments(ns);
+  std::vector<RoadSegment> segments;
   for (int i = 0; i < ns; ++i) {
     if (!next_line(line)) return Status::IOError("truncated segments");
     std::istringstream ss(line);
-    if (!(ss >> segments[i].from >> segments[i].to >> segments[i].length >>
-          segments[i].density)) {
+    RoadSegment& seg = segments.emplace_back();
+    if (!(ss >> seg.from >> seg.to >> seg.length >> seg.density)) {
       return Status::IOError(StrPrintf("bad segment line %d", i));
     }
   }

@@ -18,9 +18,11 @@
 /// one — never a torn file. Full-rewrite journaling also self-heals: if one
 /// interval's write fails, the next interval's rewrite repairs the file.
 ///
-/// Versioning: the envelope records format "rpjournal" version 1; any
-/// layout change bumps the version and old readers refuse the file as a
-/// cold restart (never an error). The payload uses the shared payload codec
+/// Versioning: the envelope records format "rpjournal" version 1, but
+/// LoadJournal checks only the format name, not the version number. A file
+/// is refused (as a cold restart, never an error) when its strict payload
+/// decode fails, so a layout change is caught only where it changes what
+/// that decode accepts. The payload uses the shared payload codec
 /// (DESIGN.md "Payload codec"): its bit-exact doubles give a resumed run
 /// bit-exact quality baselines and byte-identical replayed series, and its
 /// word fields mean stored paths must not contain whitespace; the pipeline

@@ -87,8 +87,12 @@ TEST(SupergraphIoTest, RejectsCorruptFiles) {
   // Garbage header.
   std::string p4 = write("sg_bad4.txt", "whatever\n");
   EXPECT_FALSE(LoadSupergraph(p4).ok());
+  // Member count beyond what any vector can hold, with no members present.
+  std::string p5 = write("sg_bad5.txt",
+                         "G 1 1\n0.5 9000000000000000000 0\nL 0\n");
+  EXPECT_FALSE(LoadSupergraph(p5).ok());
   EXPECT_FALSE(LoadSupergraph("/no/such/sg.txt").ok());
-  for (const auto& p : {p1, p2, p3, p4}) std::remove(p.c_str());
+  for (const auto& p : {p1, p2, p3, p4, p5}) std::remove(p.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "linalg/dense_matrix.h"
@@ -188,6 +189,23 @@ TEST(TridiagonalEigenTest, MatchesDenseSolver) {
 
 TEST(TridiagonalEigenTest, RejectsBadSubdiagonal) {
   EXPECT_FALSE(TridiagonalEigenDecompose({1.0, 2.0}, {0.5, 0.5}).ok());
+}
+
+TEST(TridiagonalEigenTest, DeflatesSubnormalCouplings) {
+  // A unit entry next to a subnormal block: the relative deflation test
+  // 1e-15 * (|d[m]| + |d[m+1]|) underflows to 0 inside the block, so the QL
+  // sweep must deflate subnormal couplings on their own or it never
+  // converges (seen on a recursive-bipartition sub-solve of a city cut).
+  const double t = std::numeric_limits<double>::denorm_min();
+  auto tri = TridiagonalEigenDecompose({1.0, t, 2 * t, 3 * t, 4 * t},
+                                       {0.0, 2 * t, 3 * t, t});
+  ASSERT_TRUE(tri.ok()) << tri.status().ToString();
+  ASSERT_EQ(tri->eigenvalues.size(), 5u);
+  EXPECT_EQ(tri->eigenvalues.back(), 1.0);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_LE(std::fabs(tri->eigenvalues[i]), 1e-300);
+  }
+  EXPECT_LT(MaxOrthError(*tri), 1e-12);
 }
 
 }  // namespace

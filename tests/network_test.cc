@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 
 #include "network/network_io.h"
@@ -166,6 +167,23 @@ TEST(NetworkIoTest, SaveLoadRoundTrip) {
 
 TEST(NetworkIoTest, LoadRejectsMissingFile) {
   EXPECT_FALSE(LoadRoadNetwork("/nonexistent/path/net.txt").ok());
+}
+
+TEST(NetworkIoTest, LoadRejectsHugeHeaderCounts) {
+  // Header counts far beyond the lines present must end in a typed error
+  // without sizing anything from the count.
+  const std::string path = testing::TempDir() + "/roadnet_huge_counts.txt";
+  for (const char* content :
+       {"I 2000000000\n0 0\n", "I 1\n0 0\nS 2000000000\n0 0 1 0.1\n"}) {
+    {
+      std::ofstream out(path);
+      out << content;
+    }
+    auto loaded = LoadRoadNetwork(path);
+    ASSERT_FALSE(loaded.ok()) << content;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIOError) << content;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(NetworkIoTest, DensitiesRoundTrip) {
