@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -474,6 +475,25 @@ Result<std::string> ReadArtifact(const std::string& path,
     info->enveloped = true;
   }
   return payload;
+}
+
+bool AdoptArtifact(const std::string& path, std::string_view format,
+                   const RetryOptions& retry, std::string_view store,
+                   std::string_view fallback,
+                   const std::function<Status(std::string_view)>& decode,
+                   std::vector<std::string>* warnings) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) return false;
+  auto payload = ReadArtifact(path, {.expected_format = std::string(format),
+                                     .require_envelope = true,
+                                     .retry = retry});
+  const Status status = payload.ok() ? decode(*payload) : payload.status();
+  if (status.ok()) return true;
+  if (warnings != nullptr) {
+    warnings->push_back(std::string(store) + " not adopted (" +
+                        status.ToString() + "); " + std::string(fallback));
+  }
+  return false;
 }
 
 // --- Payload codec ----------------------------------------------------------

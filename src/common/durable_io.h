@@ -188,6 +188,18 @@ Result<std::string> ReadArtifact(const std::string& path,
 /// Reads an entire file into a string (binary-exact).
 Result<std::string> ReadFileBytes(const std::string& path);
 
+/// The resume stores' one adoption rule (DESIGN.md "Failure model"): hands
+/// the verified payload of the `format` artifact at `path` to `decode`, which
+/// fills the caller's scratch state and reports a foreign key or a misfit as
+/// a typed status; true when adopted. A missing file is a first run: false,
+/// with no warning and no retry backoff. Any other failure returns false and
+/// appends one "<store> not adopted (<status>); <fallback>" to `warnings`.
+bool AdoptArtifact(const std::string& path, std::string_view format,
+                   const RetryOptions& retry, std::string_view store,
+                   std::string_view fallback,
+                   const std::function<Status(std::string_view)>& decode,
+                   std::vector<std::string>* warnings);
+
 // --- Payload codec ----------------------------------------------------------
 //
 // The text codec shared by the resume stores (checkpoint stages, "rpinc",

@@ -97,7 +97,7 @@ enum class FaultSite {
   /// LoadJournal: the pipeline journal is declared corrupt after its
   /// envelope verified (a torn artifact surviving checksum by luck). The
   /// pipeline must warn and cold-restart the series — never error. Queried
-  /// once per LoadJournal call, from serial code.
+  /// once per verified journal LoadJournal reads, from serial code.
   kPipelineJournalCorruption,
   kFaultSiteCount,  ///< sentinel; keep last
 };

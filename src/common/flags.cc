@@ -52,11 +52,21 @@ std::string FlagParser::GetString(const std::string& name,
   return it == flags_.end() ? fallback : it->second;
 }
 
-Result<int64_t> FlagParser::GetInt(const std::string& name,
-                                   int64_t fallback) const {
+Result<int> FlagParser::GetInt(const std::string& name, int fallback) const {
+  RP_ASSIGN_OR_RETURN(int64_t value, GetInt64(name, fallback));
+  if (value != static_cast<int>(value)) {
+    return Status::InvalidArgument("--" + name + " is outside the int range");
+  }
+  return static_cast<int>(value);
+}
+
+Result<int64_t> FlagParser::GetInt64(const std::string& name,
+                                     int64_t fallback) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return ParseInt(it->second);
+  auto value = ParseInt(it->second);
+  if (value.ok()) return value;
+  return Status::InvalidArgument("--" + name + ": " + value.status().message());
 }
 
 Result<double> FlagParser::GetDouble(const std::string& name,

@@ -30,8 +30,10 @@ class FlagParser {
   std::string GetString(const std::string& name,
                         const std::string& fallback) const;
 
-  /// Integer value or fallback; malformed values return an error.
-  Result<int64_t> GetInt(const std::string& name, int64_t fallback) const;
+  /// Integer value or fallback; malformed or out-of-range values are
+  /// InvalidArgument naming the flag. GetInt64 keeps 64 bits (seeds, bytes).
+  Result<int> GetInt(const std::string& name, int fallback) const;
+  Result<int64_t> GetInt64(const std::string& name, int64_t fallback) const;
 
   /// Double value or fallback; malformed values return an error.
   Result<double> GetDouble(const std::string& name, double fallback) const;

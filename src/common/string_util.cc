@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -47,9 +48,13 @@ Result<int64_t> ParseInt(std::string_view s) {
   if (s.empty()) return Status::InvalidArgument("empty integer");
   std::string buf(s);
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(buf.c_str(), &end, 10);
   if (end != buf.c_str() + buf.size()) {
     return Status::InvalidArgument("not an integer: '" + buf + "'");
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("integer out of range: '" + buf + "'");
   }
   return static_cast<int64_t>(v);
 }

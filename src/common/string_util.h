@@ -18,7 +18,7 @@ std::string_view Trim(std::string_view s);
 /// Parses a double; rejects trailing garbage.
 Result<double> ParseDouble(std::string_view s);
 
-/// Parses a signed 64-bit integer; rejects trailing garbage.
+/// Parses a signed 64-bit integer; rejects trailing garbage and overflow.
 Result<int64_t> ParseInt(std::string_view s);
 
 /// True if `s` starts with `prefix`.

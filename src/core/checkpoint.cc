@@ -124,31 +124,20 @@ Status CheckpointStore::Initialize() {
       StrPrintf("input %s\noptions %s\n",
                 Uint64ToHex(manifest_.input_fingerprint).c_str(),
                 Uint64ToHex(manifest_.options_hash).c_str());
-  bool fresh = true;
   if (options_.resume) {
-    ArtifactReadOptions read_options;
-    read_options.expected_format = kManifestFormat;
-    read_options.require_envelope = true;
-    read_options.retry = options_.retry;
-    auto existing = ReadArtifact(ManifestPath(), read_options);
-    if (existing.ok()) {
-      if (*existing == manifest_payload) {
-        resuming_ = true;
-        fresh = false;
-      } else {
-        warnings_.push_back(
-            "checkpoint manifest belongs to a different run (input or "
-            "options changed); recomputing all stages");
-      }
-    } else if (existing.status().code() != StatusCode::kIOError) {
-      // Torn / corrupt / foreign manifest. A missing one (kIOError) is just
-      // a first run and not worth a warning.
-      warnings_.push_back("checkpoint manifest failed verification (" +
-                          existing.status().ToString() +
-                          "); recomputing all stages");
-    }
+    resuming_ = AdoptArtifact(
+        ManifestPath(), kManifestFormat, options_.retry, "checkpoint manifest",
+        "recomputing all stages",
+        [&](std::string_view payload) {
+          return payload == manifest_payload
+                     ? Status::OK()
+                     : Status::FailedPrecondition(
+                           "manifest belongs to a different run (input or "
+                           "options changed)");
+        },
+        &warnings_);
   }
-  if (fresh) {
+  if (!resuming_) {
     // Stale stage files under an old manifest must not survive: a crash
     // between the manifest write and the first stage save would otherwise
     // let a later resume pair the new manifest with old stages.
@@ -162,20 +151,14 @@ Status CheckpointStore::Initialize() {
   return Status::OK();
 }
 
-std::optional<std::string> CheckpointStore::LoadStage(CheckpointStage stage) {
-  if (!enabled() || !resuming_) return std::nullopt;
-  ArtifactReadOptions read_options;
-  read_options.expected_format = StageFormat(stage);
-  read_options.require_envelope = true;
-  read_options.retry = options_.retry;
-  auto payload = ReadArtifact(StagePath(stage), read_options);
-  if (payload.ok()) return std::move(*payload);
-  if (payload.status().code() != StatusCode::kIOError) {
-    warnings_.push_back(StrPrintf(
-        "checkpoint stage '%s' failed verification (%s); recomputing",
-        CheckpointStageName(stage), payload.status().ToString().c_str()));
-  }
-  return std::nullopt;
+bool CheckpointStore::LoadStage(
+    CheckpointStage stage,
+    const std::function<Status(std::string_view payload)>& decode) {
+  if (!enabled() || !resuming_) return false;
+  return AdoptArtifact(
+      StagePath(stage), StageFormat(stage), options_.retry,
+      StrPrintf("checkpoint stage '%s'", CheckpointStageName(stage)),
+      "recomputing", decode, &warnings_);
 }
 
 Status CheckpointStore::SaveStage(CheckpointStage stage,

@@ -20,10 +20,11 @@
 /// uninterrupted one (and, like the rest of the pipeline, invariant across
 /// thread counts).
 ///
-/// Failure policy: a missing, corrupt, or mismatched checkpoint never fails
-/// the run — the stage is recomputed and a warning is recorded. Corruption
-/// only surfaces as an error where it must: in the durable_io loaders.
+/// Failure policy: AdoptArtifact's rule (common/durable_io.h). A missing
+/// manifest or stage recomputes silently; one that cannot be adopted
+/// recomputes with one warning. Neither ever fails the run.
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -72,10 +73,10 @@ uint64_t FingerprintRoadGraph(const RoadGraph& graph);
 
 /// Manages one checkpoint directory for one run. Lifecycle:
 ///   CheckpointStore store(options, manifest);
-///   store.Initialize();            // validates/creates dir + MANIFEST
-///   if (auto p = store.LoadStage(CheckpointStage::kMining)) { ...decode... }
-///   ... compute ...
-///   store.SaveStage(CheckpointStage::kMining, encoded);
+///   store.Initialize();            // adopts or rewrites dir + MANIFEST
+///   if (!store.LoadStage(CheckpointStage::kMining, decode_into_scratch)) {
+///     ... compute ...; store.SaveStage(CheckpointStage::kMining, encoded);
+///   }
 class CheckpointStore {
  public:
   /// Disabled store: every Load misses, every Save is a no-op.
@@ -89,16 +90,16 @@ class CheckpointStore {
   bool resuming() const { return resuming_; }
 
   /// Creates the directory if needed and reconciles the MANIFEST artifact:
-  /// a matching manifest (with options_.resume set) enables resuming; a
-  /// missing / corrupt / mismatched manifest records a warning, deletes any
-  /// stale stage files, and rewrites the manifest for a fresh run. Only
-  /// unrecoverable I/O (cannot create dir, cannot write manifest) errors.
+  /// an adopted manifest (with options_.resume set) enables resuming;
+  /// otherwise stale stage files are deleted and the manifest rewritten.
+  /// Only unrecoverable I/O (cannot create dir or write manifest) errors.
   Status Initialize();
 
-  /// Returns the verified payload of a completed stage, or nullopt when the
-  /// stage is absent or fails verification (corruption -> warning recorded,
-  /// stage recomputes).
-  std::optional<std::string> LoadStage(CheckpointStage stage);
+  /// AdoptArtifact on a completed stage: true when `decode` (which fills the
+  /// caller's scratch value and checks it fits) adopts it; false when not
+  /// resuming or not adopted, and the caller recomputes the stage.
+  bool LoadStage(CheckpointStage stage,
+                 const std::function<Status(std::string_view payload)>& decode);
 
   /// Durably persists a stage payload (no-op when disabled). After a
   /// successful save, fires the crash_after_stage hook if armed on `stage`.

@@ -374,30 +374,29 @@ Status IncrementalRepartitioner::SaveCache(const std::string& path) const {
                        options_.partitioner.checkpoint.retry);
 }
 
-Result<bool> IncrementalRepartitioner::LoadCache(const std::string& path) {
-  ArtifactReadOptions read;
-  read.expected_format = kCacheFormat;
-  read.require_envelope = true;
-  read.retry = options_.partitioner.checkpoint.retry;
-  auto payload = ReadArtifact(path, read);
-  if (!payload.ok()) {
-    warnings_.push_back("incremental cache not adopted (" +
-                        payload.status().ToString() + "); cold start");
-    return false;
-  }
-
+Result<bool> IncrementalRepartitioner::LoadCache(
+    const std::string& path, std::optional<int> expected_refreshes) {
   // Strict decode into a scratch cache; only a fully valid artifact whose
   // key matches this engine is adopted.
   std::vector<RegionCache> scratch(regions_.size());
   int stored_refreshes = 0;
-  const Status decoded = [&]() -> Status {
-    PayloadReader in(*payload);
+  auto decode = [&](std::string_view payload) -> Status {
+    PayloadReader in(payload);
     RP_RETURN_IF_ERROR(in.Line("key"));
     RP_ASSIGN_OR_RETURN(uint64_t key, in.ReadHex64());
-    if (key != CacheKey()) return Status::FailedPrecondition("foreign key");
+    if (key != CacheKey()) {
+      return Status::FailedPrecondition(
+          "cache keyed to a different graph/options");
+    }
     RP_RETURN_IF_ERROR(in.Line("regions"));
     RP_ASSIGN_OR_RETURN(int64_t stored_regions, in.ReadInt64());
     RP_ASSIGN_OR_RETURN(stored_refreshes, in.ReadInt("refreshes"));
+    if (expected_refreshes.has_value() &&
+        stored_refreshes != *expected_refreshes) {
+      return Status::FailedPrecondition(
+          StrPrintf("cache records %d refreshes, expected %d",
+                    stored_refreshes, *expected_refreshes));
+    }
     if (stored_regions != static_cast<int64_t>(regions_.size())) {
       return Status::Corruption("region count mismatch");
     }
@@ -430,15 +429,9 @@ Result<bool> IncrementalRepartitioner::LoadCache(const std::string& path) {
       RP_ASSIGN_OR_RETURN(c.warm, in.ReadDoubleVec());
     }
     return in.Finish();
-  }();
-  if (decoded.code() == StatusCode::kFailedPrecondition) {
-    warnings_.push_back(
-        "incremental cache keyed to a different graph/options; cold start");
-    return false;
-  }
-  if (!decoded.ok()) {
-    warnings_.push_back("incremental cache undecodable (" +
-                        decoded.ToString() + "); cold start");
+  };
+  if (!AdoptArtifact(path, kCacheFormat, options_.partitioner.checkpoint.retry,
+                     "incremental cache", "cold start", decode, &warnings_)) {
     return false;
   }
   cache_ = std::move(scratch);

@@ -40,6 +40,7 @@
 /// additionally enforces this cap for any nested helper; see
 /// common/parallel.h.) Thread counts never change the resulting bytes.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -146,12 +147,12 @@ class IncrementalRepartitioner {
   /// output-affecting options.
   Status SaveCache(const std::string& path) const;
 
-  /// Restores state saved by SaveCache. Returns true when the cache was
-  /// adopted; a missing, corrupt, or differently-keyed cache returns false
-  /// (with a warning recorded) and leaves the engine cold — it never fails
-  /// the engine. Typed I/O corruption still surfaces as false, not error,
-  /// because a cold start is always a safe answer.
-  Result<bool> LoadCache(const std::string& path);
+  /// Restores state saved by SaveCache; true when adopted. Otherwise the
+  /// engine stays cold (never an error) per AdoptArtifact's rule; a cache
+  /// of another key, or of a refresh count other than `expected_refreshes`
+  /// (when given), is not adopted.
+  Result<bool> LoadCache(const std::string& path,
+                         std::optional<int> expected_refreshes = std::nullopt);
 
   int num_regions() const { return static_cast<int>(regions_.size()); }
   int num_refreshes() const { return refreshes_; }

@@ -11,6 +11,17 @@
 #include "core/spectral_common.h"
 
 namespace roadpart {
+namespace {
+
+// A stored stage fits only the graph it was computed on: one label (mining:
+// one supernode member) per node.
+Status FitsGraph(size_t labels, int num_nodes) {
+  if (labels == static_cast<size_t>(num_nodes)) return Status::OK();
+  return Status::FailedPrecondition(StrPrintf(
+      "stage covers %zu nodes, this graph has %d", labels, num_nodes));
+}
+
+}  // namespace
 
 std::string RunDiagnostics::ToString() const {
   std::string out = StrPrintf(
@@ -193,7 +204,6 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
     }
   }
   auto save_stage = [&](CheckpointStage stage, const std::string& payload) {
-    if (!store.enabled()) return;
     Status saved = store.SaveStage(stage, payload);
     if (!saved.ok()) {
       outcome.diagnostics.warnings.push_back(
@@ -217,18 +227,12 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
   // stored cut whose label count matches belongs to this exact target.
   auto run_cut = [&](const CsrGraph& target, const SpectralCutMethod& method)
       -> Result<GraphCutResult> {
-    if (auto payload = store.LoadStage(CheckpointStage::kCut)) {
-      Result<GraphCutResult> decoded = DecodeCutCheckpoint(*payload);
-      if (decoded.ok() && static_cast<int>(decoded->assignment.size()) ==
-                              target.num_nodes()) {
-        return decoded;
-      }
-      outcome.diagnostics.warnings.push_back(
-          decoded.ok() ? std::string("checkpoint stage 'cut' does not match "
-                                     "this graph; recomputing")
-                       : "checkpoint stage 'cut' undecodable (" +
-                             decoded.status().ToString() + "); recomputing");
-    }
+    GraphCutResult stored;
+    auto decode = [&](std::string_view payload) -> Status {
+      RP_ASSIGN_OR_RETURN(stored, DecodeCutCheckpoint(payload));
+      return FitsGraph(stored.assignment.size(), target.num_nodes());
+    };
+    if (store.LoadStage(CheckpointStage::kCut, decode)) return stored;
     RP_ASSIGN_OR_RETURN(GraphCutResult cut,
                         SpectralKWayPartition(target, k, method, pipeline));
     save_stage(CheckpointStage::kCut, EncodeCutCheckpoint(cut));
@@ -238,60 +242,45 @@ Result<PartitionOutcome> Partitioner::PartitionWithBudget(
   const bool supergraph_scheme =
       options_.scheme == Scheme::kASG || options_.scheme == Scheme::kNSG;
 
+  // The mining stage feeds both a resumed 'final' (its report) and a
+  // recomputed cut (its supergraph).
+  std::optional<MiningCheckpoint> mined;
+  if (supergraph_scheme) {
+    MiningCheckpoint stored;
+    auto decode = [&](std::string_view payload) -> Status {
+      RP_ASSIGN_OR_RETURN(stored, DecodeMiningCheckpoint(payload));
+      if (stored.roadgraph_fallback) return Status::OK();
+      return FitsGraph(stored.supergraph->num_road_nodes(), graph.num_nodes());
+    };
+    if (store.LoadStage(CheckpointStage::kMining, decode)) {
+      mined = std::move(stored);
+      outcome.mining_report = mined->report;
+    }
+  }
+
   // A stored 'final' checkpoint short-circuits modules 2-3 entirely; the run
   // still flows through the deadline accounting, warning derivation, and
   // label validation below, exactly like an uninterrupted run.
-  bool resumed_final = false;
-  if (auto payload = store.LoadStage(CheckpointStage::kFinal)) {
-    auto decoded = DecodeFinalCheckpoint(*payload);
-    if (decoded.ok() &&
-        static_cast<int>(decoded->assignment.size()) == graph.num_nodes()) {
-      outcome.assignment = std::move(decoded->assignment);
-      outcome.k_final = decoded->k_final;
-      outcome.k_prime = decoded->k_prime;
-      outcome.num_supernodes = decoded->num_supernodes;
-      outcome.objective = decoded->objective;
-      outcome.module2_seconds = decoded->module2_seconds;
-      outcome.module3_seconds = decoded->module3_seconds;
-      outcome.diagnostics.eigen = decoded->eigen;
-      // The mining report rides in its own stage for the supergraph schemes.
-      if (supergraph_scheme) {
-        if (auto mining_payload = store.LoadStage(CheckpointStage::kMining)) {
-          auto mining = DecodeMiningCheckpoint(*mining_payload);
-          if (mining.ok()) outcome.mining_report = std::move(mining->report);
-        }
-      }
-      resumed_final = true;
-    } else {
-      outcome.diagnostics.warnings.push_back(
-          decoded.ok() ? std::string("checkpoint stage 'final' does not "
-                                     "match this graph; recomputing")
-                       : "checkpoint stage 'final' undecodable (" +
-                             decoded.status().ToString() + "); recomputing");
-    }
+  FinalCheckpoint stored_final;
+  const bool resumed_final = store.LoadStage(
+      CheckpointStage::kFinal, [&](std::string_view payload) -> Status {
+        RP_ASSIGN_OR_RETURN(stored_final, DecodeFinalCheckpoint(payload));
+        return FitsGraph(stored_final.assignment.size(), graph.num_nodes());
+      });
+  if (resumed_final) {
+    outcome.assignment = std::move(stored_final.assignment);
+    outcome.k_final = stored_final.k_final;
+    outcome.k_prime = stored_final.k_prime;
+    outcome.num_supernodes = stored_final.num_supernodes;
+    outcome.objective = stored_final.objective;
+    outcome.module2_seconds = stored_final.module2_seconds;
+    outcome.module3_seconds = stored_final.module3_seconds;
+    outcome.diagnostics.eigen = stored_final.eigen;
   }
 
   Timer timer;
   if (!resumed_final) {
-    std::optional<MiningCheckpoint> mined;
     if (supergraph_scheme) {
-      if (auto payload = store.LoadStage(CheckpointStage::kMining)) {
-        auto decoded = DecodeMiningCheckpoint(*payload);
-        if (decoded.ok() &&
-            (decoded->roadgraph_fallback ||
-             (decoded->supergraph.has_value() &&
-              decoded->supergraph->num_road_nodes() == graph.num_nodes()))) {
-          mined = std::move(*decoded);
-          outcome.mining_report = mined->report;
-        } else {
-          outcome.diagnostics.warnings.push_back(
-              decoded.ok()
-                  ? std::string("checkpoint stage 'mining' does not match "
-                                "this graph; recomputing")
-                  : "checkpoint stage 'mining' undecodable (" +
-                        decoded.status().ToString() + "); recomputing");
-        }
-      }
       if (!mined.has_value()) {
         // The second level needs at least k supernodes to produce k
         // partitions.

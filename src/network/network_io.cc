@@ -175,6 +175,11 @@ Result<std::vector<int>> LoadPartitionCsv(const std::string& path,
           StrPrintf("segment id %lld outside [0,%d)",
                     static_cast<long long>(id), num_segments));
     }
+    if (label < 0 || label >= num_segments) {  // more labels than segments
+      return Status::OutOfRange(StrPrintf(
+          "segment %lld label %lld outside [0,%d)", static_cast<long long>(id),
+          static_cast<long long>(label), num_segments));
+    }
     assignment[id] = static_cast<int>(label);
   }
   for (int i = 0; i < num_segments; ++i) {

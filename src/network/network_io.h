@@ -42,8 +42,8 @@ Status SavePartitionCsv(const std::vector<int>& assignment,
                         const RetryOptions& retry = {});
 
 /// Reads a partition CSV written by SavePartitionCsv. Every segment in
-/// [0, num_segments) must be assigned exactly once; ids outside the range
-/// are kOutOfRange and missing ids are kInvalidArgument.
+/// [0, num_segments) must be assigned exactly once; ids or labels outside
+/// that range are kOutOfRange and missing ids are kInvalidArgument.
 Result<std::vector<int>> LoadPartitionCsv(const std::string& path,
                                           int num_segments,
                                           const RetryOptions& retry = {});

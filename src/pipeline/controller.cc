@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -75,36 +76,32 @@ PipelineStats StatsFromJournal(const PipelineJournal& journal,
   return stats;
 }
 
-/// True when the journal's history matches THIS series: no more entries
-/// than snapshots, and every entry fingerprints the snapshot it claims.
-bool JournalMatchesSeries(const PipelineJournal& journal,
-                          const SnapshotSeries& series, int num_nodes,
-                          std::vector<std::string>* warnings) {
-  auto warn = [&](const std::string& why) {
-    warnings->push_back("pipeline journal not adopted (" + why +
-                        "); cold restart");
-    return false;
-  };
+/// OK when the journal's history fits THIS graph and series: no more
+/// entries than snapshots, and every entry fingerprints the snapshot it
+/// claims.
+Status JournalFitsSeries(const PipelineJournal& journal,
+                         const SnapshotSeries& series, int num_nodes) {
   if (static_cast<int>(journal.regions.size()) != num_nodes) {
-    return warn("region count disagrees with the graph");
+    return Status::FailedPrecondition("region count disagrees with the graph");
   }
   if (!journal.tracker_reference.empty() &&
       static_cast<int>(journal.tracker_reference.size()) != num_nodes) {
-    return warn("tracker reference disagrees with the graph");
+    return Status::FailedPrecondition(
+        "tracker reference disagrees with the graph");
   }
   if (static_cast<int>(journal.entries.size()) > series.num_snapshots()) {
-    return warn("more journaled intervals than the series has snapshots");
+    return Status::FailedPrecondition(
+        "more journaled intervals than the series has snapshots");
   }
   for (const PipelineJournalEntry& e : journal.entries) {
     const uint64_t expected = IntervalInputFingerprint(
         series.timestamp(e.index), series.densities(e.index));
     if (e.input_fingerprint != expected) {
-      return warn(StrPrintf("interval %d input fingerprint disagrees with "
-                            "the series",
-                            e.index));
+      return Status::FailedPrecondition(StrPrintf(
+          "interval %d input fingerprint disagrees with the series", e.index));
     }
   }
-  return true;
+  return Status::OK();
 }
 
 void SleepForSeconds(double seconds) {
@@ -171,17 +168,15 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
   const uint64_t key = PipelineKey(graph, options);
 
   // --- Resume: adopt a journal that matches this key AND this series ------
-  PipelineJournal journal;
-  bool resumed_journal = false;
+  std::optional<PipelineJournal> loaded;
   if (options.resume) {
-    auto loaded = LoadJournal(result.journal_path, key, options.retry,
-                              &result.warnings);
-    if (loaded.has_value() &&
-        JournalMatchesSeries(*loaded, series, num_nodes, &result.warnings)) {
-      journal = std::move(*loaded);
-      resumed_journal = true;
-    }
+    loaded = LoadJournal(result.journal_path, key, options.retry,
+                         &result.warnings, [&](const PipelineJournal& j) {
+                           return JournalFitsSeries(j, series, num_nodes);
+                         });
   }
+  const bool resumed_journal = loaded.has_value();
+  PipelineJournal journal = std::move(loaded).value_or(PipelineJournal());
   const int resume_at =
       resumed_journal ? static_cast<int>(journal.entries.size()) : 0;
 
@@ -191,7 +186,6 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
     RP_ASSIGN_OR_RETURN(
         PartitionOutcome initial,
         Partitioner(options.driver.initial).PartitionRoadGraph(graph));
-    journal = PipelineJournal();
     journal.key = key;
     journal.k_top = initial.k_final;
     journal.regions = std::move(initial.assignment);
@@ -211,8 +205,7 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
         tracker.Restore(journal.tracker_reference, journal.tracker_next_id));
   }
 
-  // Drains engine warnings into the run's warning list exactly once each;
-  // reset `engine_warnings_seen` whenever the engine object is replaced.
+  // Drains engine warnings into the run's warning list exactly once each.
   size_t engine_warnings_seen = 0;
   auto drain_engine_warnings = [&]() {
     const std::vector<std::string>& ws = engine.warnings();
@@ -229,19 +222,15 @@ Result<PipelineRunResult> RunPipeline(const RoadNetwork& network,
     if (e.refreshed) ++journaled_refreshes;
   }
   if (journaled_refreshes > 0) {
-    RP_ASSIGN_OR_RETURN(bool adopted, engine.LoadCache(cache_path));
+    RP_ASSIGN_OR_RETURN(bool adopted,
+                        engine.LoadCache(cache_path, journaled_refreshes));
     drain_engine_warnings();
-    if (adopted && engine.num_refreshes() != journaled_refreshes) {
+    if (!adopted && !std::filesystem::exists(cache_path)) {
+      // Missing is a first run for the engine alone; here the cache was lost.
       result.warnings.push_back(StrPrintf(
-          "incremental cache records %d refreshes but the journal %d; "
+          "incremental cache missing but the journal records %d refreshes; "
           "replaying",
-          engine.num_refreshes(), journaled_refreshes));
-      adopted = false;
-      // A differently-aged cache was adopted structurally; rebuild cold.
-      RP_ASSIGN_OR_RETURN(engine, IncrementalRepartitioner::Create(
-                                      graph, journal.regions,
-                                      refresh_options));
-      engine_warnings_seen = 0;
+          journaled_refreshes));
     }
     if (!adopted) {
       for (const PipelineJournalEntry& e : journal.entries) {

@@ -63,35 +63,21 @@ Status SaveJournal(const PipelineJournal& journal, const std::string& path,
                        retry);
 }
 
-std::optional<PipelineJournal> LoadJournal(const std::string& path,
-                                           uint64_t expected_key,
-                                           const RetryOptions& retry,
-                                           std::vector<std::string>* warnings) {
-  auto warn = [&](const std::string& why) -> std::optional<PipelineJournal> {
-    if (warnings != nullptr) {
-      warnings->push_back("pipeline journal not adopted (" + why +
-                          "); cold restart");
-    }
-    return std::nullopt;
-  };
-
-  ArtifactReadOptions read;
-  read.expected_format = kJournalFormat;
-  read.require_envelope = true;
-  read.retry = retry;
-  auto payload = ReadArtifact(path, read);
-  if (!payload.ok()) return warn(payload.status().ToString());
-  if (RP_FAULT_FIRES(FaultSite::kPipelineJournalCorruption)) {
-    // A journal whose bytes verified but whose producer is suspect (e.g. a
-    // mid-upgrade writer); the loader must treat it like any torn file.
-    return warn("journal declared corrupt after verification (injected)");
-  }
-
+std::optional<PipelineJournal> LoadJournal(
+    const std::string& path, uint64_t expected_key, const RetryOptions& retry,
+    std::vector<std::string>* warnings,
+    const std::function<Status(const PipelineJournal&)>& fits) {
   // Strict decode into a scratch journal; only a fully valid artifact
-  // carrying the expected key is adopted.
+  // carrying the expected key (and fitting the caller's inputs) is adopted.
   PipelineJournal j;
-  const Status decoded = [&]() -> Status {
-    PayloadReader in(*payload);
+  auto decode = [&](std::string_view payload) -> Status {
+    if (RP_FAULT_FIRES(FaultSite::kPipelineJournalCorruption)) {
+      // A journal whose bytes verified but whose producer is suspect (e.g. a
+      // mid-upgrade writer); the loader must treat it like any torn file.
+      return Status::Corruption(
+          "journal declared corrupt after verification (injected)");
+    }
+    PayloadReader in(payload);
     RP_RETURN_IF_ERROR(in.Line("key"));
     RP_ASSIGN_OR_RETURN(j.key, in.ReadHex64());
     if (j.key != expected_key) {
@@ -158,9 +144,13 @@ std::optional<PipelineJournal> LoadJournal(const std::string& path,
       }
       j.entries.push_back(std::move(e));
     }
-    return in.Finish();
-  }();
-  if (!decoded.ok()) return warn(decoded.message());
+    RP_RETURN_IF_ERROR(in.Finish());
+    return fits ? fits(j) : Status::OK();
+  };
+  if (!AdoptArtifact(path, kJournalFormat, retry, "pipeline journal",
+                     "cold restart", decode, warnings)) {
+    return std::nullopt;
+  }
   return j;
 }
 

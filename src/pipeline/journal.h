@@ -28,12 +28,13 @@
 /// word fields mean stored paths must not contain whitespace; the pipeline
 /// only writes paths it derived from its own state directory.
 ///
-/// Failure policy mirrors the incremental cache (core "rpinc"): a missing,
-/// corrupt, differently-keyed, or injected-corrupt (fault site
-/// kPipelineJournalCorruption) journal loads as "no journal" with a warning
-/// — a cold restart is always a safe answer, so LoadJournal never fails.
+/// Failure policy: AdoptArtifact's rule (common/durable_io.h), as for the
+/// checkpoint and "rpinc" stores. A journal that cannot be adopted (fault
+/// site kPipelineJournalCorruption included) loads as "no journal": a cold
+/// restart is always a safe answer, so LoadJournal never fails.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -96,15 +97,13 @@ struct PipelineJournal {
 Status SaveJournal(const PipelineJournal& journal, const std::string& path,
                    const RetryOptions& retry = {});
 
-/// Loads a journal saved by SaveJournal when it exists, verifies, decodes,
-/// and carries key `expected_key`. Anything else — missing file, torn
-/// artifact, undecodable payload, key mismatch, injected corruption —
-/// returns nullopt with one warning line appended to `warnings`: the caller
-/// cold-restarts, which is always safe.
-std::optional<PipelineJournal> LoadJournal(const std::string& path,
-                                           uint64_t expected_key,
-                                           const RetryOptions& retry,
-                                           std::vector<std::string>* warnings);
+/// Loads a journal saved by SaveJournal when AdoptArtifact adopts it: it
+/// verifies, decodes, carries key `expected_key`, and passes `fits` (when
+/// given). Otherwise nullopt, and the caller cold-restarts.
+std::optional<PipelineJournal> LoadJournal(
+    const std::string& path, uint64_t expected_key, const RetryOptions& retry,
+    std::vector<std::string>* warnings,
+    const std::function<Status(const PipelineJournal&)>& fits = nullptr);
 
 }  // namespace roadpart
 

@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "roadpart/roadpart.h"
@@ -21,6 +23,19 @@ std::string FreshDir(const std::string& name) {
   std::string dir = testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+// The payload `store` adopts for `stage`, or nullopt when it adopts none.
+std::optional<std::string> Loaded(CheckpointStore& store,
+                                  CheckpointStage stage) {
+  std::string payload;
+  if (!store.LoadStage(stage, [&](std::string_view stored) {
+        payload = stored;
+        return Status::OK();
+      })) {
+    return std::nullopt;
+  }
+  return payload;
 }
 
 bool BitEqual(double a, double b) {
@@ -254,7 +269,7 @@ std::string StoreStage(CheckpointStage stage, const std::string& payload,
   options.resume = true;
   CheckpointStore reader(options, kPinManifest);
   RP_CHECK_OK(reader.Initialize());
-  std::optional<std::string> stored = reader.LoadStage(stage);
+  std::optional<std::string> stored = Loaded(reader, stage);
   RP_CHECK(stored.has_value());
   return *stored;
 }
@@ -358,7 +373,7 @@ TEST(CheckpointStoreTest, SaveThenResumeServesPayload) {
   CheckpointStore writer(options, manifest);
   ASSERT_TRUE(writer.Initialize().ok());
   EXPECT_FALSE(writer.resuming());
-  EXPECT_FALSE(writer.LoadStage(CheckpointStage::kMining).has_value());
+  EXPECT_FALSE(Loaded(writer, CheckpointStage::kMining).has_value());
   ASSERT_TRUE(
       writer.SaveStage(CheckpointStage::kMining, "stage payload\n").ok());
 
@@ -366,7 +381,7 @@ TEST(CheckpointStoreTest, SaveThenResumeServesPayload) {
   CheckpointStore reader(options, manifest);
   ASSERT_TRUE(reader.Initialize().ok());
   EXPECT_TRUE(reader.resuming());
-  auto payload = reader.LoadStage(CheckpointStage::kMining);
+  auto payload = Loaded(reader, CheckpointStage::kMining);
   ASSERT_TRUE(payload.has_value());
   EXPECT_EQ(*payload, "stage payload\n");
   EXPECT_TRUE(reader.warnings().empty());
@@ -384,7 +399,7 @@ TEST(CheckpointStoreTest, ManifestMismatchInvalidatesStaleStages) {
   CheckpointStore reader(options, RunManifest{1, 3});  // options changed
   ASSERT_TRUE(reader.Initialize().ok());
   EXPECT_FALSE(reader.resuming());
-  EXPECT_FALSE(reader.LoadStage(CheckpointStage::kCut).has_value());
+  EXPECT_FALSE(Loaded(reader, CheckpointStage::kCut).has_value());
   EXPECT_FALSE(reader.warnings().empty());
   // The stale stage file must be gone, not waiting to ambush a later run.
   EXPECT_FALSE(std::filesystem::exists(reader.StagePath(CheckpointStage::kCut)));
@@ -402,7 +417,7 @@ TEST(CheckpointStoreTest, WithoutResumeDirIsReinitialized) {
   CheckpointStore fresh(options, manifest);  // resume not requested
   ASSERT_TRUE(fresh.Initialize().ok());
   EXPECT_FALSE(fresh.resuming());
-  EXPECT_FALSE(fresh.LoadStage(CheckpointStage::kFinal).has_value());
+  EXPECT_FALSE(Loaded(fresh, CheckpointStage::kFinal).has_value());
   std::filesystem::remove_all(options.dir);
 }
 
@@ -426,7 +441,7 @@ TEST(CheckpointStoreTest, CorruptStageFileDegradesToRecompute) {
   CheckpointStore reader(options, manifest);
   ASSERT_TRUE(reader.Initialize().ok());
   EXPECT_TRUE(reader.resuming());
-  EXPECT_FALSE(reader.LoadStage(CheckpointStage::kMining).has_value());
+  EXPECT_FALSE(Loaded(reader, CheckpointStage::kMining).has_value());
   EXPECT_FALSE(reader.warnings().empty());  // degradation is reported
   std::filesystem::remove_all(options.dir);
 }
@@ -434,7 +449,7 @@ TEST(CheckpointStoreTest, CorruptStageFileDegradesToRecompute) {
 TEST(CheckpointStoreTest, DisabledStoreIsInert) {
   CheckpointStore store;
   EXPECT_FALSE(store.enabled());
-  EXPECT_FALSE(store.LoadStage(CheckpointStage::kMining).has_value());
+  EXPECT_FALSE(Loaded(store, CheckpointStage::kMining).has_value());
   EXPECT_TRUE(store.SaveStage(CheckpointStage::kMining, "ignored").ok());
 }
 

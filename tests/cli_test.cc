@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -193,6 +194,66 @@ TEST_F(CliWorkflowTest, BadInputsFailCleanly) {
   EXPECT_NE(RunCli("evaluate /no/such.net /no/such.csv"), 0);
   EXPECT_NE(RunCli("nonsense"), 0);
   EXPECT_NE(RunCli(""), 0);
+}
+
+TEST_F(CliWorkflowTest, OutOfRangeIntegerFlagsFail) {
+  // A 32-bit cast would turn --k=4294967300 into k=4, and strtoll would
+  // clamp the seed to INT64_MAX; both must be usage errors instead.
+  const std::string log = dir_ + "/cli_flags.log";
+  const std::string csv = dir_ + "/cli_flags.csv";
+  std::string output;
+  int status = RunCliCaptured(
+      "partition --k=4294967300 " + net_ + " " + csv, log, &output);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+  EXPECT_NE(output.find("--k"), std::string::npos) << output;
+  status = RunCliCaptured("generate --seed=99999999999999999999 " + dir_ +
+                              "/cli_flags.net",
+                          log, &output);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+  EXPECT_NE(output.find("--seed"), std::string::npos) << output;
+  for (const std::string& path : {log, csv}) std::remove(path.c_str());
+}
+
+TEST_F(CliWorkflowTest, EvaluateRejectsAnOutOfRangePartitionLabel) {
+  // A legacy (envelope-less) partition file whose label indexes far past
+  // any partition table: a typed error, not a crash.
+  auto net = LoadRoadNetwork(net_);
+  ASSERT_TRUE(net.ok());
+  const std::string csv = dir_ + "/cli_bad_label.csv";
+  {
+    std::ofstream out(csv);
+    for (int s = 0; s < net->num_segments(); ++s) {
+      out << s << "," << (s == 5 ? "2147483647" : "0") << "\n";
+    }
+  }
+  const std::string log = dir_ + "/cli_bad_label.log";
+  std::string output;
+  const int status = RunCliCaptured("evaluate " + net_ + " " + csv, log,
+                                    &output);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << output;
+  EXPECT_NE(output.find("OutOfRange"), std::string::npos) << output;
+  for (const std::string& path : {csv, log}) std::remove(path.c_str());
+}
+
+TEST_F(CliWorkflowTest, FirstResumeIntoAnEmptyCheckpointDirIsSilent) {
+  // A missing manifest is a first run: nothing to adopt, nothing to warn.
+  const std::string cp = dir_ + "/cli_first_resume";
+  std::filesystem::remove_all(cp);
+  std::filesystem::create_directories(cp);
+  const std::string csv = dir_ + "/cli_first_resume.csv";
+  const std::string log = dir_ + "/cli_first_resume.log";
+  std::string output;
+  EXPECT_EQ(RunCliCaptured("partition --scheme=ASG --k=5 --checkpoint-dir=" +
+                               cp + " --resume " + net_ + " " + csv,
+                           log, &output),
+            0)
+      << output;
+  EXPECT_EQ(output.find("warning:"), std::string::npos) << output;
+  std::filesystem::remove_all(cp);
+  for (const std::string& path : {csv, log}) std::remove(path.c_str());
 }
 
 TEST(CliTest, TearDownNetwork) {

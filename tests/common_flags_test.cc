@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/flags.h"
 
 namespace roadpart {
@@ -50,6 +53,30 @@ TEST(FlagParserTest, UnknownFlagRejected) {
 TEST(FlagParserTest, MalformedNumberReported) {
   FlagParser p = ParseOk({"--k=abc"});
   EXPECT_FALSE(p.GetInt("k", 0).ok());
+}
+
+TEST(FlagParserTest, IntFlagsNarrowCheckedAndNameTheFlag) {
+  // 4294967300 would wrap to 4 through a 32-bit cast.
+  for (const char* arg : {"--k=4294967300", "--k=2147483648",
+                          "--k=-2147483649", "--k=99999999999999999999"}) {
+    FlagParser p = ParseOk({arg});
+    auto k = p.GetInt("k", 0);
+    ASSERT_FALSE(k.ok()) << arg;
+    EXPECT_EQ(k.status().code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(k.status().message().find("--k"), std::string::npos)
+        << k.status().ToString();
+  }
+  EXPECT_EQ(ParseOk({"--k=2147483647"}).GetInt("k", 0).value(), INT32_MAX);
+  EXPECT_EQ(ParseOk({"--k=-2147483648"}).GetInt("k", 0).value(), INT32_MIN);
+}
+
+TEST(FlagParserTest, Int64FlagsKeepTheirFullRange) {
+  FlagParser p = ParseOk({"--k=9223372036854775807"});
+  EXPECT_EQ(p.GetInt64("k", 0).value(), INT64_MAX);
+  EXPECT_EQ(p.GetInt64("absent", -5).value(), -5);
+  auto wrapped = ParseOk({"--k=99999999999999999999"}).GetInt64("k", 0);
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_NE(wrapped.status().message().find("--k"), std::string::npos);
 }
 
 TEST(FlagParserTest, PositionalOrderPreserved) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.h"
@@ -219,6 +220,17 @@ TEST(StringUtilTest, ParseIntValid) {
 TEST(StringUtilTest, ParseIntInvalid) {
   EXPECT_FALSE(ParseInt("3.5").ok());
   EXPECT_FALSE(ParseInt("x").ok());
+}
+
+TEST(StringUtilTest, ParseIntRejectsOutOfRangeInsteadOfClamping) {
+  EXPECT_EQ(ParseInt("9223372036854775807").value(), INT64_MAX);
+  EXPECT_EQ(ParseInt("-9223372036854775808").value(), INT64_MIN);
+  for (const char* text : {"9223372036854775808", "99999999999999999999",
+                           "-9223372036854775809"}) {
+    auto parsed = ParseInt(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(StringUtilTest, StrPrintfFormats) {

@@ -216,5 +216,24 @@ TEST(NetworkIoTest, PartitionCsvWritten) {
   std::remove(path.c_str());
 }
 
+TEST(NetworkIoTest, PartitionCsvRejectsOutOfRangeLabels) {
+  // Legacy (envelope-less) files: labels that a 32-bit narrowing would wrap
+  // (4294967297 -> 1) or that index past any partition table, and a negative
+  // label, are each typed OutOfRange naming the segment.
+  const std::string path = testing::TempDir() + "/partition_labels.csv";
+  for (const char* label : {"4294967297", "2147483647", "3", "-1"}) {
+    {
+      std::ofstream out(path);
+      out << "segment_id,partition_id\n0,0\n1," << label << "\n2,0\n";
+    }
+    auto loaded = LoadPartitionCsv(path, 3);
+    ASSERT_FALSE(loaded.ok()) << label;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange) << label;
+    EXPECT_NE(loaded.status().message().find("segment 1"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace roadpart

@@ -8,7 +8,7 @@
 // run must resume mid-series and finish with a journal byte-identical to
 // the uninterrupted run — across --threads 1/2/8. Corrupt and
 // differently-keyed journals must cold-restart with a warning, never
-// error.
+// error; a first run into an empty state dir prints no warning.
 //
 // In-process side: a 20-interval run with a ServeRuntime attached arms a
 // different registered pipeline / serve / repartition fault site before
@@ -137,6 +137,16 @@ TEST_F(PipelineChaosTest, CrashAtEveryIntervalBoundaryThenResumeBitIdentical) {
     EXPECT_EQ(Slurp(JournalPath()), reference)
         << "interval " << t << " resume at " << threads << " threads";
   }
+}
+
+TEST_F(PipelineChaosTest, FirstRunIntoAnEmptyStateDirIsSilent) {
+  // No journal or cache exists yet: a first run, not a failed adoption.
+  std::filesystem::create_directories(state_dir_);
+  const std::string out = root_ + "/first.out";
+  ASSERT_EQ(RunPipelineBin(Args("--threads=2"), out), 0);
+  const std::string text = Slurp(out);
+  EXPECT_EQ(text.find("warning:"), std::string::npos) << text;
+  EXPECT_NE(text.find("resumed=0"), std::string::npos) << text;
 }
 
 TEST_F(PipelineChaosTest, RerunOfCompletedSeriesIsANoOp) {

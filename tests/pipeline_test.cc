@@ -2,8 +2,8 @@
 // refresh -> publish -> serve over a snapshot series.
 //
 //  - rpjournal artifact: bit-exact round trip; a corrupt, truncated,
-//    missing, differently-keyed, or injected-corrupt journal loads as "no
-//    journal" with a warning — never an error;
+//    differently-keyed, or injected-corrupt journal loads as "no journal"
+//    with a warning, and a missing one silently — never an error;
 //  - failure containment: a poisoned (NaN) snapshot, an expired re-cut
 //    deadline, or the injected quarantine site isolates THAT interval with
 //    a typed kebab reason while serving stays on the last good snapshot;
@@ -180,12 +180,11 @@ TEST(PipelineJournalTest, MissingKeyedOrTornJournalsColdRestart) {
   const std::string path = TempPath("journal_torn.rpj");
   ASSERT_TRUE(SaveJournal(j, path).ok());
 
-  // Missing file.
+  // Missing file: a first run, not adopted and not worth a warning.
   std::vector<std::string> warnings;
   EXPECT_FALSE(
       LoadJournal(TempPath("no_such.rpj"), j.key, {}, &warnings).has_value());
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("cold restart"), std::string::npos);
+  EXPECT_TRUE(warnings.empty());
 
   // Wrong key: someone else's history.
   warnings.clear();
@@ -378,6 +377,50 @@ TEST_F(PipelineFixture, ResumedRunReproducesUninterruptedJournalBytes) {
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third->stats.resumed, 0);
   EXPECT_EQ(ReadAll(third->journal_path), reference_journal);
+}
+
+TEST_F(PipelineFixture, FreshStateDirIsSilentButALostCacheIsReported) {
+  const SnapshotSeries series = StableSeries(4);
+  SnapshotSeries prefix(network_.num_segments());
+  for (int t = 0; t < 2; ++t) {
+    ASSERT_TRUE(prefix.Append(series.timestamp(t), series.densities(t)).ok());
+  }
+  const std::string dir = FreshStateDir("pipe_lost_cache");
+
+  // No journal and no cache yet: a first run, with nothing to warn about.
+  auto first = RunPipeline(network_, prefix, BaseOptions(dir));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(first->warnings.empty()) << first->warnings[0];
+
+  // A journal that records refreshes but whose cache is gone: the run
+  // replays the refreshes, and the lost cache is still reported.
+  ASSERT_TRUE(std::filesystem::remove(dir + "/cache.rpinc"));
+  auto resumed = RunPipeline(network_, series, BaseOptions(dir));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->stats.resumed, 2);
+  ASSERT_EQ(resumed->warnings.size(), 1u);
+  EXPECT_NE(resumed->warnings[0].find("incremental cache missing"),
+            std::string::npos)
+      << resumed->warnings[0];
+  const std::string reference = ReadAll(resumed->journal_path);
+
+  // A cache older than the journal (two refreshes behind) is not adopted,
+  // through the one adoption rule; the replay still reproduces the journal.
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(RunPipeline(network_, prefix, BaseOptions(dir)).ok());
+  const std::string old_cache = ReadAll(dir + "/cache.rpinc");
+  ASSERT_TRUE(RunPipeline(network_, series, BaseOptions(dir)).ok());
+  RP_CHECK_OK(AtomicWriteFile(dir + "/cache.rpinc", old_cache));
+  auto stale = RunPipeline(network_, series, BaseOptions(dir));
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_EQ(stale->stats.resumed, 4);
+  ASSERT_EQ(stale->warnings.size(), 1u);
+  EXPECT_EQ(stale->warnings[0].rfind("incremental cache not adopted "
+                                     "(FailedPrecondition: cache records",
+                                     0),
+            0u)
+      << stale->warnings[0];
+  EXPECT_EQ(ReadAll(stale->journal_path), reference);
 }
 
 TEST_F(PipelineFixture, ResumeRejectsAForeignSeries) {

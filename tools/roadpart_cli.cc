@@ -120,7 +120,7 @@ Result<RetryOptions> RetryFromFlags(const FlagParser& flags) {
   if (*base < 0.0) {
     return Status::InvalidArgument("--io-retry-base-delay must be >= 0");
   }
-  retry.max_attempts = static_cast<int>(*attempts);
+  retry.max_attempts = *attempts;
   retry.base_delay_seconds = *base;
   return retry;
 }
@@ -137,7 +137,7 @@ int CmdGenerate(const FlagParser& flags) {
   if (flags.positional().size() != 1) return Usage();
   auto preset = ParsePreset(flags.GetString("preset", "D1"));
   if (!preset.ok()) return Fail(preset.status());
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetInt64("seed", 1);
   if (!seed.ok()) return Fail(seed.status());
   auto hotspots = flags.GetInt("hotspots", 3);
   if (!hotspots.ok()) return Fail(hotspots.status());
@@ -148,7 +148,7 @@ int CmdGenerate(const FlagParser& flags) {
   auto net = GenerateDataset(*preset, static_cast<uint64_t>(*seed));
   if (!net.ok()) return Fail(net.status());
   CongestionFieldOptions field;
-  field.num_hotspots = static_cast<int>(*hotspots);
+  field.num_hotspots = *hotspots;
   field.seed = static_cast<uint64_t>(*seed) + 1000;
   CongestionField congestion(*net, field);
   Status st = net->SetDensities(congestion.Densities());
@@ -166,7 +166,7 @@ int CmdPartition(const FlagParser& flags) {
   if (!scheme.ok()) return Fail(scheme.status());
   auto k = flags.GetInt("k", 6);
   if (!k.ok()) return Fail(k.status());
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetInt64("seed", 1);
   if (!seed.ok()) return Fail(seed.status());
   auto stability = flags.GetDouble("stability", 0.0);
   if (!stability.ok()) return Fail(stability.status());
@@ -194,7 +194,7 @@ int CmdPartition(const FlagParser& flags) {
 
   PartitionerOptions options;
   options.scheme = *scheme;
-  options.k = static_cast<int>(*k);
+  options.k = *k;
   options.seed = static_cast<uint64_t>(*seed);
   options.miner.stability.threshold = *stability;
   options.deadline_seconds = *deadline;
@@ -280,7 +280,7 @@ int CmdEvaluate(const FlagParser& flags) {
 int CmdMine(const FlagParser& flags) {
   if (flags.positional().size() != 2) return Usage();
   auto stability = flags.GetDouble("stability", 0.0);
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetInt64("seed", 1);
   if (!stability.ok() || !seed.ok()) return Usage();
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
@@ -312,7 +312,7 @@ int CmdSimulate(const FlagParser& flags) {
   auto horizon = flags.GetDouble("horizon", 3600.0);
   auto interval = flags.GetDouble("interval", 120.0);
   auto snapshot = flags.GetInt("snapshot", -1);
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetInt64("seed", 1);
   if (!vehicles.ok() || !horizon.ok() || !interval.ok() || !snapshot.ok() ||
       !seed.ok()) {
     return Usage();
@@ -322,7 +322,7 @@ int CmdSimulate(const FlagParser& flags) {
   if (!net.ok()) return Fail(net.status());
 
   TripGeneratorOptions demand;
-  demand.num_vehicles = static_cast<int>(*vehicles);
+  demand.num_vehicles = *vehicles;
   demand.horizon_seconds = *horizon;
   demand.seed = static_cast<uint64_t>(*seed);
   auto trips = GenerateTrips(*net, demand);
@@ -351,7 +351,7 @@ int CmdSimulate(const FlagParser& flags) {
     std::printf("wrote full series (%d snapshots) to %s\n",
                 series.num_snapshots(), series_out->c_str());
   }
-  int t = static_cast<int>(*snapshot);
+  int t = *snapshot;
   if (t < 0 || t >= static_cast<int>(result->densities.size())) {
     // Default: the peak snapshot (highest mean density).
     t = series.PeakSnapshot();
@@ -372,7 +372,7 @@ int CmdAnalyze(const FlagParser& flags) {
   auto scheme = ParseScheme(flags.GetString("scheme", "ASG"));
   if (!scheme.ok()) return Fail(scheme.status());
   auto k = flags.GetInt("k", 4);
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetInt64("seed", 1);
   if (!k.ok() || !seed.ok()) return Usage();
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
@@ -383,7 +383,7 @@ int CmdAnalyze(const FlagParser& flags) {
 
   EvolutionOptions options;
   options.partitioner.scheme = *scheme;
-  options.partitioner.k = static_cast<int>(*k);
+  options.partitioner.k = *k;
   options.partitioner.seed = static_cast<uint64_t>(*seed);
   auto result = AnalyzeEvolution(rg, *series, options);
   if (!result.ok()) return Fail(result.status());
@@ -411,7 +411,7 @@ int CmdRefresh(const FlagParser& flags) {
   if (!inner_scheme.ok()) return Fail(inner_scheme.status());
   auto k = flags.GetInt("k", 4);
   auto inner_k = flags.GetInt("inner-k", 2);
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetInt64("seed", 1);
   auto trigger = flags.GetDouble("trigger-ratio", 0.05);
   auto boundary = flags.GetDouble("boundary-delta-ratio", 0.05);
   auto deadline = flags.GetDouble("deadline-seconds", 0.0);
@@ -431,7 +431,7 @@ int CmdRefresh(const FlagParser& flags) {
 
   IntervalDriverOptions options;
   options.initial.scheme = *scheme;
-  options.initial.k = static_cast<int>(*k);
+  options.initial.k = *k;
   options.initial.seed = static_cast<uint64_t>(*seed);
   // The deadline applies per partition call: the snapshot-0 full cut and
   // each region's re-cut. An overrun region is kept whole and typed into
@@ -439,7 +439,7 @@ int CmdRefresh(const FlagParser& flags) {
   // the run.
   options.initial.deadline_seconds = *deadline;
   options.refresh.partitioner.scheme = *inner_scheme;
-  options.refresh.partitioner.k = static_cast<int>(*inner_k);
+  options.refresh.partitioner.k = *inner_k;
   options.refresh.partitioner.seed = static_cast<uint64_t>(*seed);
   options.refresh.partitioner.deadline_seconds = *deadline;
   options.refresh.trigger_ratio = *trigger;
@@ -459,7 +459,7 @@ int CmdRefresh(const FlagParser& flags) {
   }
 
   std::printf("initial %s k=%d: %d regions in %.3fs\n",
-              SchemeName(*scheme), static_cast<int>(*k), result->k_top,
+              SchemeName(*scheme), *k, result->k_top,
               result->initial_seconds);
   std::printf("%10s %6s %6s %6s %6s %6s %8s %8s %9s %9s %9s  %s\n", "t(s)",
               "k", "dirty", "clean", "warm", "fail", "ANS", "churn",
@@ -482,7 +482,7 @@ int CmdSweep(const FlagParser& flags) {
   if (!scheme.ok()) return Fail(scheme.status());
   auto kmin = flags.GetInt("kmin", 2);
   auto kmax = flags.GetInt("kmax", 20);
-  auto seed = flags.GetInt("seed", 1);
+  auto seed = flags.GetInt64("seed", 1);
   if (!kmin.ok() || !kmax.ok() || !seed.ok()) return Usage();
 
   auto net = LoadRoadNetwork(flags.positional()[0]);
@@ -492,8 +492,8 @@ int CmdSweep(const FlagParser& flags) {
   OptimalKOptions options;
   options.partitioner.scheme = *scheme;
   options.partitioner.seed = static_cast<uint64_t>(*seed);
-  options.k_min = static_cast<int>(*kmin);
-  options.k_max = static_cast<int>(*kmax);
+  options.k_min = *kmin;
+  options.k_max = *kmax;
   auto result = FindOptimalK(rg, options);
   if (!result.ok()) return Fail(result.status());
 
@@ -532,7 +532,7 @@ int Main(int argc, char** argv) {
   // this a pure performance setting.
   auto threads = flags->GetInt("threads", 0);
   if (!threads.ok()) return Fail(threads.status());
-  if (*threads > 0) SetDefaultParallelism(static_cast<int>(*threads));
+  if (*threads > 0) SetDefaultParallelism(*threads);
 
   if (command == "generate") return CmdGenerate(*flags);
   if (command == "partition") return CmdPartition(*flags);

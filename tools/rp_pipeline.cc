@@ -83,7 +83,7 @@ int Main(int argc, char** argv) {
 
   auto threads = flags->GetInt("threads", 0);
   if (!threads.ok()) return Fail(threads.status());
-  if (*threads > 0) SetDefaultParallelism(static_cast<int>(*threads));
+  if (*threads > 0) SetDefaultParallelism(*threads);
 
   auto scheme = ParseScheme(flags->GetString("scheme", "ASG"));
   if (!scheme.ok()) return Fail(scheme.status());
@@ -91,7 +91,7 @@ int Main(int argc, char** argv) {
   if (!inner_scheme.ok()) return Fail(inner_scheme.status());
   auto k = flags->GetInt("k", 4);
   auto inner_k = flags->GetInt("inner-k", 2);
-  auto seed = flags->GetInt("seed", 1);
+  auto seed = flags->GetInt64("seed", 1);
   auto trigger = flags->GetDouble("trigger-ratio", 0.05);
   auto boundary = flags->GetDouble("boundary-delta-ratio", 0.05);
   auto deadline = flags->GetDouble("deadline-seconds", 0.0);
@@ -119,11 +119,11 @@ int Main(int argc, char** argv) {
 
   PipelineOptions options;
   options.driver.initial.scheme = *scheme;
-  options.driver.initial.k = static_cast<int>(*k);
+  options.driver.initial.k = *k;
   options.driver.initial.seed = static_cast<uint64_t>(*seed);
   options.driver.initial.deadline_seconds = *deadline;
   options.driver.refresh.partitioner.scheme = *inner_scheme;
-  options.driver.refresh.partitioner.k = static_cast<int>(*inner_k);
+  options.driver.refresh.partitioner.k = *inner_k;
   options.driver.refresh.partitioner.seed = static_cast<uint64_t>(*seed);
   options.driver.refresh.partitioner.deadline_seconds = *deadline;
   options.driver.refresh.trigger_ratio = *trigger;
@@ -134,9 +134,9 @@ int Main(int argc, char** argv) {
   options.state_dir = state_dir;
   options.ans_margin = *ans_margin;
   options.churn_ceiling = *churn_ceiling;
-  options.max_refresh_attempts = static_cast<int>(*retry_attempts);
+  options.max_refresh_attempts = *retry_attempts;
   options.resume = !flags->GetBool("no-resume", false);
-  options.crash_after_interval = static_cast<int>(*crash_after);
+  options.crash_after_interval = *crash_after;
   options.on_interval = [](const PipelineJournalEntry& e) {
     std::printf("interval %d %s reason=%s ans=%.6f churn=%.4f staleness=%lld\n",
                 e.index, PipelineOutcomeName(e.outcome), e.reason.c_str(),

@@ -84,9 +84,9 @@ int Main(int argc, char** argv) {
   if (*batch < 1) {
     return Fail(Status::InvalidArgument("--batch-size must be >= 1"));
   }
-  auto max_queries = flags->GetInt("max-inflight-queries", 0);
+  auto max_queries = flags->GetInt64("max-inflight-queries", 0);
   if (!max_queries.ok()) return Fail(max_queries.status());
-  auto max_bytes = flags->GetInt("max-inflight-bytes", 0);
+  auto max_bytes = flags->GetInt64("max-inflight-bytes", 0);
   if (!max_bytes.ok()) return Fail(max_bytes.status());
   if (*max_queries < 0 || *max_bytes < 0) {
     return Fail(Status::InvalidArgument(
@@ -113,8 +113,8 @@ int Main(int argc, char** argv) {
   }
 
   ServeRuntimeOptions options;
-  options.serve.num_threads = static_cast<int>(*threads);
-  options.serve.batch_size = static_cast<int>(*batch);
+  options.serve.num_threads = *threads;
+  options.serve.batch_size = *batch;
   options.serve.on_malformed = policy;
   options.serve.max_inflight_queries = *max_queries;
   options.serve.max_inflight_bytes = *max_bytes;
